@@ -13,7 +13,14 @@ from typing import List, Optional
 
 from repro.dsa.dif import DifContext
 from repro.dsa.errors import StatusCode
-from repro.dsa.opcodes import DescriptorFlags, MAX_BATCH_SIZE, MAX_TRANSFER_SIZE, Opcode
+from repro.dsa.opcodes import (
+    FLAG_BLOCK_ON_FAULT,
+    FLAG_CACHE_CONTROL,
+    MAX_BATCH_SIZE,
+    MAX_TRANSFER_SIZE,
+    DescriptorFlags,
+    Opcode,
+)
 
 #: Architectural size of one work descriptor in bytes.
 DESCRIPTOR_BYTES = 64
@@ -111,11 +118,11 @@ class WorkDescriptor:
 
     @property
     def cache_control(self) -> bool:
-        return bool(self.flags & DescriptorFlags.CACHE_CONTROL)
+        return int(self.flags) & FLAG_CACHE_CONTROL != 0
 
     @property
     def block_on_fault(self) -> bool:
-        return bool(self.flags & DescriptorFlags.BLOCK_ON_FAULT)
+        return int(self.flags) & FLAG_BLOCK_ON_FAULT != 0
 
     def clone_range(
         self, offset: int, size: int, pool: Optional["DescriptorPool"] = None

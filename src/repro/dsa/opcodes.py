@@ -71,6 +71,14 @@ class DescriptorFlags(enum.IntFlag):
     COMPLETION_INTERRUPT = 1 << 4
 
 
+#: Plain-int masks for the flag tests on the per-descriptor path.
+#: ``IntFlag.__and__`` runs through the enum machinery (about 1.5 µs a
+#: test); ``int(flags) & MASK`` is a plain int operation.
+FLAG_CACHE_CONTROL = int(DescriptorFlags.CACHE_CONTROL)
+FLAG_FENCE = int(DescriptorFlags.FENCE)
+FLAG_BLOCK_ON_FAULT = int(DescriptorFlags.BLOCK_ON_FAULT)
+
+
 #: Transfer-size ceiling per descriptor (DSA spec allows 2^32-1; the
 #: utility default is far smaller, this is the model's sanity bound).
 MAX_TRANSFER_SIZE = 2**31

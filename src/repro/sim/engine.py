@@ -498,6 +498,40 @@ class Environment:
             self._insert_slow((self._now + delay, NORMAL, self._seq, ev))
         return ev
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A pooled timeout that fires at absolute time ``when``.
+
+        For callback-driven models that fuse consecutive pure delays
+        into one calendar entry: ``timeout_at((now + a) + b)`` keeps
+        the float addition order of two chained ``timeout()`` calls, so
+        the firing time is bit-identical to stepping through both.
+        Raises :class:`ValueError` for a time in the past.  Built and
+        pooled inline exactly like :meth:`timeout` (a shared helper
+        would add a call to the hottest allocation path).
+        """
+        if when < self._now:
+            raise ValueError(f"timeout_at({when!r}) is in the past (now={self._now!r})")
+        pool = self._timeout_pool
+        if pool:
+            ev = pool.pop()
+            ev._value = value
+        else:
+            ev = _new_event(Timeout)
+            ev.env = self
+            ev.callbacks = []
+            ev._value = value
+            ev._ok = True
+            ev._triggered = True
+            ev._processed = False
+            ev._defused = False
+            ev._cancelled = False
+        self._seq += 1
+        if self._fast:
+            _heappush(self._calendar, (when, NORMAL, self._seq, ev))
+        else:
+            self._insert_slow((when, NORMAL, self._seq, ev))
+        return ev
+
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 

@@ -60,6 +60,18 @@ class Resource:
             self._waiters.append(req)
         return req
 
+    def try_acquire(self) -> bool:
+        """Take a free slot now, without an event; False if none is free.
+
+        The synchronous twin of :meth:`request` for callback-driven
+        holders: an uncontended grant costs no calendar entry.  Waiters
+        only queue while every slot is held, so this never jumps them.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         """Free one held slot, waking the oldest waiter if any."""
         if self._in_use <= 0:

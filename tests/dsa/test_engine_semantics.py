@@ -7,7 +7,7 @@ from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.errors import StatusCode
 from repro.dsa.opcodes import DescriptorFlags, Opcode
 from repro.mem.address import AddressSpace
-from repro.platform import spr_platform
+from repro.platform import fleet_platform, spr_platform
 from repro.sim import make_rng
 
 KB = 1024
@@ -163,6 +163,81 @@ class TestSvmSharing:
         platform.env.run()
         assert rogue.completion.status == StatusCode.PAGE_FAULT
         assert rogue.completion.fault_address == buffer_b.va
+
+
+class TestUnmappedOperand:
+    def test_fault_reports_the_unmapped_destination(self):
+        """The fault address is the operand that failed to resolve, not ``src``."""
+        platform = spr_platform()
+        device = platform.driver.device("dsa0")
+        space = AddressSpace()
+        device.attach_space(space)
+        src = space.allocate(4 * KB)
+        unmapped_dst = src.va + 64 * MB
+        descriptor = WorkDescriptor(
+            Opcode.MEMMOVE, pasid=space.pasid, src=src.va, dst=unmapped_dst, size=4 * KB
+        )
+        device.submit(descriptor)
+        platform.env.run()
+        assert descriptor.completion.status == StatusCode.PAGE_FAULT
+        assert descriptor.completion.fault_address == unmapped_dst
+
+
+class TestRemoteAtsRelease:
+    def test_bof0_abort_frees_its_slot_when_translation_ends(self):
+        """A BOF=0 partial completion holds its remote ATS slot only for the
+        translation window, not through the head transfer and completion
+        write: a remote translation starting after that window must not
+        queue behind it."""
+        platform = fleet_platform(2, 1)
+        env, memsys = platform.env, platform.memsys
+        device = platform.driver.device("dsa0")  # socket 0
+        space = AddressSpace()
+        device.attach_space(space)
+        page = space.page_size
+        src = space.allocate(16 * page, node=1, prefault=False)  # socket 1
+        space.page_table.map_range(src.va, 2 * page)
+        faulting = WorkDescriptor(
+            Opcode.MEMMOVE,
+            pasid=space.pasid,
+            flags=DescriptorFlags.REQUEST_COMPLETION,
+            src=src.va,
+            dst=space.allocate(16 * page).va,
+            size=16 * page,
+        )
+        later = WorkDescriptor(
+            Opcode.MEMMOVE,
+            pasid=space.pasid,
+            src=space.allocate(page, node=1).va,
+            dst=space.allocate(page).va,
+            size=page,
+        )
+        acquired = []
+        acquire = memsys.ats_acquire
+
+        def recording_acquire(from_socket, homes):
+            cost = acquire(from_socket, homes)
+            acquired.append((env.now, cost))
+            return cost
+
+        memsys.ats_acquire = recording_acquire
+        # Translation (IOMMU walk + UPI round trip) ends well before
+        # 500 ns; the head transfer and completion write end near 1 us.
+        submit_at = 500.0
+
+        def submit_later(env):
+            yield env.timeout(submit_at)
+            device.submit(later)
+
+        device.submit(faulting)
+        env.process(submit_later(env))
+        env.run()
+        assert faulting.completion.status == StatusCode.PAGE_FAULT
+        assert faulting.completion.bytes_completed == 2 * page
+        assert faulting.times.completed > acquired[1][0] > submit_at
+        # Same uncontended cost as the first remote translation.
+        assert acquired[1][1] == acquired[0][1]
+        assert memsys._ats_inflight == {1: 0}
 
 
 class TestInterruptCompletion:

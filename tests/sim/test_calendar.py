@@ -583,3 +583,79 @@ def test_wheel_massive_schedule_drains_in_order():
     env.run()
     assert order == times
     assert env.now == times[-1]
+
+
+# -- timeout_at (absolute-time timers) -------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_timeout_at_fires_at_the_exact_fused_time(backend):
+    # (now + a) + b keeps two chained timeouts' float addition order.
+    env = Environment(calendar=backend, initial_time=0.1)
+    a, b = 0.2, 0.3
+    stepped = []
+
+    def chained(env):
+        yield env.timeout(a)
+        yield env.timeout(b)
+        stepped.append(env.now)
+
+    env.process(chained(env))
+    fused = []
+    env.timeout_at((env.now + a) + b, value="v").callbacks.append(
+        lambda e: fused.append((env.now, e._value))
+    )
+    env.run()
+    assert fused == [(stepped[0], "v")]
+    assert stepped[0] != 0.1 + (a + b)  # the order really matters here
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_timeout_at_ties_break_by_scheduling_order(backend):
+    env = Environment(calendar=backend)
+    order = []
+    env.timeout(5.0, value="relative").callbacks.append(lambda e: order.append(e._value))
+    env.timeout_at(5.0, value="absolute").callbacks.append(lambda e: order.append(e._value))
+    env.timeout_at(env.now).callbacks.append(lambda e: order.append("now"))
+    env.run()
+    assert order == ["now", "relative", "absolute"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_timeout_at_rejects_the_past(backend):
+    env = Environment(calendar=backend, initial_time=10.0)
+    with pytest.raises(ValueError, match="in the past"):
+        env.timeout_at(9.999)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_timeout_at_draws_from_the_pool(backend):
+    env = Environment(calendar=backend)
+    env.timeout(1.0)
+    env.run()
+    assert len(env._timeout_pool) == 1
+    recycled = env._timeout_pool[-1]
+    timer = env.timeout_at(2.0)
+    assert timer is recycled
+    del timer, recycled  # the pool only takes back unreferenced timers
+    env.run()
+    assert env.now == 2.0 and len(env._timeout_pool) == 1
+
+
+def test_timeout_at_matches_heap_order_after_auto_promotion(monkeypatch):
+    monkeypatch.setattr(engine_mod, "AUTO_PROMOTE_THRESHOLD", 16)
+
+    def run(backend):
+        env = Environment(calendar=backend)
+        order = []
+        for i in range(40):
+            env.timeout_at(float(i % 7), value=i).callbacks.append(
+                lambda e: order.append((env.now, e._value))
+            )
+        env.run()
+        return order, env.using_wheel
+
+    heap_order, _ = run("heap")
+    auto_order, promoted = run("auto")
+    assert promoted
+    assert auto_order == heap_order

@@ -97,6 +97,24 @@ class TestResource:
         res.cancel(pending)
         assert res.queue_length == 0
 
+    def test_try_acquire_grants_without_an_event(self):
+        env = Environment()
+        res = Resource(env, capacity=2)
+        assert res.try_acquire() and res.try_acquire()
+        assert res.in_use == 2
+        assert not res.try_acquire()
+        assert env.peek() == float("inf")  # nothing was scheduled
+
+    def test_try_acquire_fails_while_waiters_queue(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        assert res.try_acquire()
+        waiter = res.request()
+        assert not res.try_acquire()
+        res.release()  # hands the slot straight to the queued request
+        assert waiter.triggered and res.in_use == 1
+        assert not res.try_acquire()
+
 
 class TestStore:
     def test_put_then_get(self):
