@@ -44,8 +44,8 @@ from typing import Optional, Tuple
 
 from _bench_common import base_parser, best_of, gate_exit, geomean, write_json
 from repro.dsa.opcodes import Opcode
-from repro.sim.fidelity import DECLARED_TOLERANCE, FidelityPolicy, fidelity, plan_closed_loop
-from repro.sim.rng import DEFAULT_SEED, install_seed, uninstall_seed
+from repro.config import RunConfig, using
+from repro.sim.fidelity import DECLARED_TOLERANCE, FidelityPolicy, plan_closed_loop
 from repro.workloads.microbench import (
     MicrobenchConfig,
     run_dsa_microbench,
@@ -93,15 +93,11 @@ def _measure(kind: str, cfg: MicrobenchConfig, mode: Optional[str], repeats: int
     def run(_context) -> object:
         result = None
         for _ in range(inner):
-            install_seed(DEFAULT_SEED)
-            if mode is None:
+            with using(RunConfig(fidelity=mode or "des")):
                 result = runner(cfg)
-            else:
-                with fidelity(mode):
-                    result = runner(cfg)
         return result
 
-    best = best_of(repeats, run, teardown=lambda _context: uninstall_seed())
+    best = best_of(repeats, run)
     return best, best.value
 
 

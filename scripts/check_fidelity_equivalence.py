@@ -37,11 +37,11 @@ import sys
 import time
 from typing import Dict, List, Tuple
 
+from repro.config import RunConfig, using
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import all_experiments, run_experiment
 from repro.obs import MetricsRegistry, install_metrics, uninstall_metrics
-from repro.sim.fidelity import DECLARED_TOLERANCE, fidelity
-from repro.sim.rng import DEFAULT_SEED, install_seed, uninstall_seed
+from repro.sim.fidelity import DECLARED_TOLERANCE
 
 #: Absolute slack added to the relative-tolerance comparison so series
 #: whose true value is ~0 (e.g. a ratio that rounds to 0.0) do not
@@ -59,17 +59,12 @@ FIDELITY_COUNTERS = (
 def _run(exp_id: str, quick: bool, mode: str) -> Tuple[ExperimentResult, Dict[str, float]]:
     """One experiment run under a fresh seed + metrics registry."""
     registry = MetricsRegistry()
-    install_seed(DEFAULT_SEED)
     install_metrics(registry)
     try:
-        if mode == "des":
+        with using(RunConfig(fidelity=mode)):
             result = run_experiment(exp_id, quick=quick)
-        else:
-            with fidelity(mode):
-                result = run_experiment(exp_id, quick=quick)
     finally:
         uninstall_metrics()
-        uninstall_seed()
     counters = {name: registry.counter(name).value for name in FIDELITY_COUNTERS}
     return result, counters
 

@@ -23,6 +23,7 @@ import os
 import sys
 
 from repro.analysis.tables import Table
+from repro.config import DEFAULT_SEED, RunConfig, using
 from repro.exec import ParallelRunner, ResultCache
 from repro.experiments import all_experiments, resolve_ids
 from repro.guidelines import OffloadAdvisor
@@ -35,15 +36,12 @@ from repro.obs import (
     install_metrics,
     install_tracer,
     publish_overhead,
-    set_default_hist_backend,
     snapshot_table,
     uninstall_metrics,
     uninstall_tracer,
     write_chrome_trace,
 )
-from repro.fleet import policy_names, set_default_fleet, set_default_placement
-from repro.sim.calendar import set_default_calendar
-from repro.traffic.tiers import set_default_tier, set_default_traffic
+from repro.fleet import policy_names
 
 
 def _cmd_list(_args) -> int:
@@ -61,10 +59,25 @@ def _default_jobs() -> int:
 
 def _cmd_run(args) -> int:
     try:
+        config = RunConfig(
+            seed=args.seed,
+            fidelity=args.fidelity,
+            calendar=args.calendar,
+            hist_backend=args.hist_backend,
+            tier=args.tier,
+            traffic=args.traffic,
+            fleet=args.fleet,
+            placement=args.placement,
+        )
         targets = resolve_ids(args.experiment)
-    except KeyError as err:
+    except (KeyError, TypeError, ValueError) as err:
         print(err.args[0], file=sys.stderr)
         return 2
+    with using(config):
+        return _run(args, config, targets)
+
+
+def _run(args, config: RunConfig, targets) -> int:
     tracer = None
     if args.trace:
         if args.trace_buffer > 0:
@@ -74,16 +87,6 @@ def _cmd_run(args) -> int:
         else:
             tracer = Tracer()
         install_tracer(tracer)
-    set_default_hist_backend(args.hist_backend)
-    set_default_calendar(args.calendar)
-    set_default_tier(args.tier)
-    set_default_traffic(args.traffic)
-    set_default_placement(args.placement)
-    try:
-        set_default_fleet(args.fleet)
-    except ValueError as err:
-        print(err.args[0], file=sys.stderr)
-        return 2
     sink = ResultSink(args.results) if args.results else None
     profiler = None
     if args.profile:
@@ -114,17 +117,10 @@ def _cmd_run(args) -> int:
     runner = ParallelRunner(
         jobs=1 if in_process else args.jobs,
         quick=args.quick,
-        seed=args.seed,
+        config=config,
         cache=None if (args.no_cache or in_process) else ResultCache(),
         trace=tracer is not None,
         sink=sink,
-        hist_backend=args.hist_backend,
-        fidelity=args.fidelity,
-        calendar=args.calendar,
-        tier=args.tier,
-        traffic=args.traffic,
-        fleet=args.fleet,
-        placement=args.placement,
     )
     summary_rows = []
     failures = 0
@@ -267,7 +263,7 @@ def _cmd_advise(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduction harness for the ASPLOS'24 DSA paper",
@@ -293,7 +289,7 @@ def main(argv=None) -> int:
     run_parser.add_argument(
         "--seed",
         type=int,
-        default=None,
+        default=DEFAULT_SEED,
         metavar="SEED",
         help="run seed for every experiment's default RNG streams",
     )
@@ -370,7 +366,7 @@ def main(argv=None) -> int:
     run_parser.add_argument(
         "--fleet",
         metavar="SxD",
-        default=None,
+        default="1x1",
         help="fleet topology for the traffic experiments: SOCKETSxDEVICES "
         "(e.g. 2x4 = 2 sockets with 4 DSA instances each); requests are "
         "placed across the fleet by --placement and disabled devices fail "
@@ -433,8 +429,11 @@ def main(argv=None) -> int:
     advise.add_argument("--threads", type=int, default=1)
     advise.add_argument("--wqs", type=int, default=1)
     advise.set_defaults(func=_cmd_advise)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -13,12 +13,13 @@ that determines a result byte-for-byte:
 
 * the experiment id,
 * the ``quick`` flag,
-* the run seed (``--seed`` / :data:`repro.sim.rng.DEFAULT_SEED`),
+* the run seed (``--seed`` / :data:`repro.config.DEFAULT_SEED`),
+* the rest of the run mode, as :meth:`repro.config.RunConfig.variant`,
 * the source fingerprint of the experiment module's static import
   closure (see :mod:`repro.exec.fingerprint`),
 * a cache format version.
 
-Simulations are deterministic functions of (code, flags, seed), so a
+Simulations are deterministic functions of (code, run mode, seed), so a
 key hit can return the stored result without re-simulating; any edit to
 an experiment or to a model it imports changes the fingerprint and
 orphans the old entry.  Orphans are only reclaimed by ``python -m repro
@@ -49,50 +50,6 @@ CACHE_FORMAT = 2
 
 #: Default cache root, relative to the current working directory.
 DEFAULT_ROOT = ".repro-cache"
-
-#: Flag values that mean "the default run mode" and are dropped from
-#: the variant salt, so default runs keep their historical (empty
-#: variant) keys across releases that add new flags.
-VARIANT_DEFAULTS = {
-    "fidelity": "des",
-    "hist": "auto",
-    "calendar": "heap",
-    "tier": "small",
-    "traffic": "default",
-    "fleet": "1x1",
-    "placement": "round-robin",
-}
-
-
-def variant_string(**flags) -> str:
-    """Canonical cache-``variant`` salt for run-mode flags.
-
-    One builder instead of ad hoc concatenation at call sites:
-    ``variant_string(hist="streaming", fidelity="auto")`` →
-    ``"fidelity=auto,hist=streaming"``.  Properties that make distinct
-    flag combinations collision-free:
-
-    * keys are emitted in sorted order (call-site order is irrelevant);
-    * ``None`` and default values (:data:`VARIANT_DEFAULTS`) are
-      dropped, so a new flag at its default never orphans old entries;
-    * the ``=`` / ``,`` separators are rejected inside keys and values,
-      so two different mappings can never serialize identically.
-    """
-    parts: List[str] = []
-    for key in sorted(flags):
-        value = flags[key]
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = int(value)
-        text = str(value)
-        if VARIANT_DEFAULTS.get(key) == text:
-            continue
-        if any(sep in key or sep in text for sep in ("=", ",")):
-            raise ValueError(f"variant flag may not contain '=' or ',': {key}={text!r}")
-        parts.append(f"{key}={text}")
-    return ",".join(parts)
-
 
 @dataclass
 class CachedResult:
@@ -129,12 +86,9 @@ class ResultCache:
         """Full content key for one (experiment, flags, seed, code) tuple.
 
         ``variant`` salts the key for run modes that change the stored
-        payload without changing the code — the non-default
-        ``--hist-backend`` choices (metrics snapshots differ from the
-        ``auto`` default) and non-default ``--fidelity`` tiers (results
-        are within-tolerance, not byte-identical).  Callers build it
-        with :func:`variant_string`; the empty default keeps existing
-        keys.
+        payload without changing the code: it is
+        :meth:`repro.config.RunConfig.variant`, empty for the default
+        mode so default runs keep their historical keys.
         """
         source_fp = fingerprint(module_path(exp_id))
         material = f"v{CACHE_FORMAT}|{exp_id}|quick={int(bool(quick))}|seed={seed}|{source_fp}"

@@ -2,8 +2,8 @@
 
 Experiments are independent simulations, so ``python -m repro run all``
 parallelises embarrassingly: each worker process runs one experiment at
-a time with its **own** installed tracer, metrics registry, and seed,
-and ships the finished :class:`~repro.experiments.base.ExperimentResult`
+a time with its **own** installed tracer and metrics registry, under
+the runner's :class:`~repro.config.RunConfig`, and ships the finished :class:`~repro.experiments.base.ExperimentResult`
 (plus its trace-event list) back to the parent.  The parent then folds
 each worker's records into its own observability state —
 :meth:`Tracer.absorb` remaps per-worker track ids,
@@ -17,7 +17,10 @@ output.
 
 With ``jobs=1`` everything runs in-process against the parent's
 installed tracer/registry (no pickling, no fork), which is also the
-path the cache-only fast case takes.
+path the cache-only fast case takes.  Both paths run each experiment
+inside :func:`~repro.config.using` the runner's config, and the cache
+salts with that same config's :meth:`~repro.config.RunConfig.variant`,
+so what runs and what is keyed cannot disagree.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional
 
-from repro.exec.cache import ResultCache, variant_string
+from repro.config import RunConfig, active_config, using
+from repro.exec.cache import ResultCache
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import run_experiment
 from repro.obs import (
@@ -44,8 +48,6 @@ from repro.obs import (
     uninstall_metrics,
     uninstall_sink,
 )
-from repro.sim.fidelity import install_fidelity, uninstall_fidelity
-from repro.sim.rng import DEFAULT_SEED, install_seed, uninstall_seed
 
 
 @dataclass
@@ -72,18 +74,11 @@ class RunOutcome:
 def _worker(
     exp_id: str,
     quick: bool,
-    seed: int,
+    config: RunConfig,
     with_trace: bool,
     sink_shard: Optional[str] = None,
-    hist_backend: Optional[str] = None,
-    fidelity: Optional[str] = None,
-    calendar: Optional[str] = None,
-    tier: Optional[str] = None,
-    traffic: Optional[str] = None,
-    fleet: Optional[str] = None,
-    placement: Optional[str] = None,
 ) -> RunOutcome:
-    """Run one experiment in a worker process.
+    """Run one experiment in a worker process under ``config``.
 
     Must stay a module-level function (pickled by name).  Pool workers
     are reused across experiments, so each call installs a fresh
@@ -92,41 +87,6 @@ def _worker(
     that JSONL shard; the parent splices shards into the main sink in
     request order (see :meth:`ParallelRunner.run_iter`).
     """
-    install_seed(seed)
-    if hist_backend is not None:
-        # Module globals don't cross the process boundary; re-apply the
-        # parent's --hist-backend choice in every worker call.
-        from repro.obs import set_default_hist_backend
-
-        set_default_hist_backend(hist_backend)
-    if fidelity is not None:
-        # Same reason: pool workers are reused, so the parent's
-        # --fidelity choice is re-installed on every call (an explicit
-        # "des" disables batching left over from a previous runner).
-        install_fidelity(fidelity)
-    if calendar is not None:
-        # Same pattern as --hist-backend: the parent installed the
-        # process-wide default, the worker re-applies it per call.
-        from repro.sim.calendar import set_default_calendar
-
-        set_default_calendar(calendar)
-    if tier is not None or traffic is not None:
-        # --tier / --traffic scale the traffic experiments; same reused-
-        # worker story as the flags above.
-        from repro.traffic.tiers import set_default_tier, set_default_traffic
-
-        if tier is not None:
-            set_default_tier(tier)
-        if traffic is not None:
-            set_default_traffic(traffic)
-    if fleet is not None or placement is not None:
-        # --fleet / --placement install the fleet topology the traffic
-        # harness reads via active_fleet(); same re-install pattern.
-        from repro.fleet.topology import set_default_fleet, set_default_placement
-
-        if placement is not None:
-            set_default_placement(placement)
-        set_default_fleet(fleet)
     registry = MetricsRegistry()
     install_metrics(registry)
     tracer: Optional[Tracer] = None
@@ -142,7 +102,8 @@ def _worker(
             shard = None
     start = time.perf_counter()
     try:
-        result = run_experiment(exp_id, quick=quick)
+        with using(config):
+            result = run_experiment(exp_id, quick=quick)
     except Exception:
         return RunOutcome(
             exp_id=exp_id,
@@ -171,10 +132,10 @@ class ParallelRunner:
         Worker process count; ``1`` means in-process serial execution.
     quick:
         Passed through to every experiment's ``run(quick=...)``.
-    seed:
-        Run seed installed in every worker (and, for ``jobs=1``, in the
-        parent for the duration of each run).  ``None`` means
-        :data:`~repro.sim.rng.DEFAULT_SEED`.
+    config:
+        The :class:`~repro.config.RunConfig` every experiment runs
+        under, in-process or in a worker; ``None`` means the config
+        active when the runner is built.  It also salts the cache.
     cache:
         A :class:`~repro.exec.cache.ResultCache`, or ``None`` to
         disable caching (``--no-cache``).
@@ -194,41 +155,17 @@ class ParallelRunner:
         self,
         jobs: int = 1,
         quick: bool = False,
-        seed: Optional[int] = None,
+        config: Optional[RunConfig] = None,
         cache: Optional[ResultCache] = None,
         trace: bool = False,
         sink: Optional[ResultSink] = None,
-        hist_backend: Optional[str] = None,
-        fidelity: Optional[str] = None,
-        calendar: Optional[str] = None,
-        tier: Optional[str] = None,
-        traffic: Optional[str] = None,
-        fleet: Optional[str] = None,
-        placement: Optional[str] = None,
     ):
         self.jobs = max(1, int(jobs))
         self.quick = bool(quick)
-        self.seed = DEFAULT_SEED if seed is None else int(seed)
+        self.config = active_config() if config is None else config
         self.cache = cache
         self.trace = bool(trace)
         self.sink = sink
-        self.hist_backend = hist_backend
-        #: ``--fidelity`` mode string installed in every worker (and
-        #: in-process for ``jobs=1``); None = leave whatever the caller
-        #: installed (normally nothing, i.e. full DES).
-        self.fidelity = fidelity
-        #: ``--calendar`` backend re-installed in every worker; for
-        #: ``jobs=1`` the CLI already set the process-wide default.
-        self.calendar = calendar
-        #: ``--tier`` / ``--traffic`` scale-and-arrival knobs for the
-        #: traffic experiments; same worker re-install pattern.
-        self.tier = tier
-        self.traffic = traffic
-        #: ``--fleet`` topology (``"2x4"``) and ``--placement`` policy
-        #: the traffic harness reads via ``active_fleet()``; same worker
-        #: re-install pattern.
-        self.fleet = fleet
-        self.placement = placement
 
     # -- merge ----------------------------------------------------------
     def _merge(self, outcome: RunOutcome) -> None:
@@ -268,29 +205,11 @@ class ParallelRunner:
             metrics=len(result.metrics) if result is not None else 0,
         )
 
-    @property
-    def _cache_variant(self) -> str:
-        """Cache-key salt for run modes that change the stored payload.
-
-        Built by the one canonical :func:`~repro.exec.cache.variant_string`
-        so every payload-changing flag is salted uniformly and distinct
-        flag combinations can never collide.
-        """
-        return variant_string(
-            hist=self.hist_backend,
-            fidelity=self.fidelity,
-            calendar=self.calendar,
-            tier=self.tier,
-            traffic=self.traffic,
-            fleet=self.fleet,
-            placement=self.placement,
-        )
-
     def _lookup(self, exp_id: str) -> Optional[RunOutcome]:
         if self.cache is None or self.trace:
             return None
         start = time.perf_counter()
-        hit = self.cache.get(exp_id, self.quick, self.seed, self._cache_variant)
+        hit = self.cache.get(exp_id, self.quick, self.config.seed, self.config.variant())
         if hit is None:
             return None
         return RunOutcome(
@@ -305,8 +224,8 @@ class ParallelRunner:
             return
         try:
             self.cache.put(
-                outcome.exp_id, self.quick, self.seed, outcome.result, outcome.wall,
-                self._cache_variant,
+                outcome.exp_id, self.quick, self.config.seed, outcome.result, outcome.wall,
+                self.config.variant(),
             )
         except Exception:
             # A full disk or unpicklable payload must not fail the run.
@@ -319,16 +238,13 @@ class ParallelRunner:
         the duration so results carry metrics snapshots in every mode —
         a ``jobs=1`` run must not differ from a ``jobs=4`` run.
         """
-        install_seed(self.seed)
         owns_registry = installed_metrics() is None
         if owns_registry:
             install_metrics(MetricsRegistry())
-        owns_fidelity = self.fidelity is not None
-        if owns_fidelity:
-            install_fidelity(self.fidelity)
         start = time.perf_counter()
         try:
-            result = run_experiment(exp_id, quick=self.quick)
+            with using(self.config):
+                result = run_experiment(exp_id, quick=self.quick)
         except Exception:
             return RunOutcome(
                 exp_id=exp_id,
@@ -336,11 +252,8 @@ class ParallelRunner:
                 wall=time.perf_counter() - start,
             )
         finally:
-            uninstall_seed()
             if owns_registry:
                 uninstall_metrics()
-            if owns_fidelity:
-                uninstall_fidelity()
         return RunOutcome(exp_id=exp_id, result=result, wall=time.perf_counter() - start)
 
     # -- driver ---------------------------------------------------------
@@ -388,10 +301,8 @@ class ParallelRunner:
             with ProcessPoolExecutor(max_workers=min(self.jobs, len(misses))) as pool:
                 futures = {
                     exp_id: pool.submit(
-                        _worker, exp_id, self.quick, self.seed, self.trace,
-                        shard_path(exp_id), self.hist_backend, self.fidelity,
-                        self.calendar, self.tier, self.traffic,
-                        self.fleet, self.placement,
+                        _worker, exp_id, self.quick, self.config, self.trace,
+                        shard_path(exp_id),
                     )
                     for exp_id in misses
                 }

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from repro.analysis.series import Series
 from repro.analysis.tables import Table
+from repro.config import active_config
 from repro.experiments.base import ExperimentResult
 from repro.traffic.loadgen import drive_profile
 from repro.traffic.profile import (
@@ -36,7 +37,7 @@ from repro.traffic.profile import (
     dsa_capacity,
     make_tenants,
 )
-from repro.traffic.tiers import active_tier, default_traffic
+from repro.traffic.tiers import active_tier
 
 KB = 1024
 CPU_CORES = 2
@@ -62,7 +63,7 @@ def _drive(size: int, rate: float, target: str, tenants: int, requests: int) -> 
         cpu_queue_limit=CPU_QUEUE_LIMIT,
     )
     generator, totals = drive_profile(
-        profile, requests, arrival_override=default_traffic()
+        profile, requests, arrival_override=active_config().traffic
     )
     account = generator.accountant
     completed = totals["completed"]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.analysis.series import Series
 from repro.analysis.tables import Table
+from repro.config import active_config
 from repro.dsa.config import DeviceConfig, EngineConfig, GroupConfig, WqConfig, WqMode
 from repro.experiments.base import ExperimentResult
 from repro.traffic.loadgen import drive_profile
@@ -33,7 +34,7 @@ from repro.traffic.profile import (
     dsa_capacity,
     make_tenants,
 )
-from repro.traffic.tiers import active_tier, default_traffic
+from repro.traffic.tiers import active_tier
 
 KB = 1024
 SIZE = 16 * KB
@@ -90,7 +91,7 @@ def _drive(load: float, tenants_per_cohort: int, requests: int) -> dict:
         profile,
         requests,
         device_config=qos_device_config(),
-        arrival_override=default_traffic(),
+        arrival_override=active_config().traffic,
     )
     account = generator.accountant
     point = {}

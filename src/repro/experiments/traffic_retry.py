@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.analysis.series import Series
 from repro.analysis.tables import Table
+from repro.config import active_config
 from repro.dsa.config import DeviceConfig, WqMode
 from repro.experiments.base import ExperimentResult
 from repro.fleet import DEFAULT_FLEET
@@ -32,7 +33,7 @@ from repro.traffic.profile import (
     dsa_capacity,
     make_tenants,
 )
-from repro.traffic.tiers import active_tier, default_traffic
+from repro.traffic.tiers import active_tier
 
 KB = 1024
 SIZE = 8 * KB
@@ -63,7 +64,7 @@ def _drive(fan_in: int, per_tenant_rate: float, requests: int) -> dict:
         device_config=DeviceConfig.single(
             wq_size=WQ_SIZE, n_engines=ENGINES, mode=WqMode.SHARED
         ),
-        arrival_override=default_traffic(),
+        arrival_override=active_config().traffic,
         # The retry storm is calibrated against ONE 16-entry SWQ; a
         # --fleet topology would spread the fan-in and dissolve the
         # backpressure the anchors measure, so the layout is pinned.

@@ -19,7 +19,7 @@ requires *deterministic* fault injection, which is what a
   descriptors abort with ``DEVICE_DISABLED``.
 
 Every stochastic choice draws from streams derived from a single seed
-(``None`` resolves to :func:`repro.sim.rng.installed_seed`), so a
+(``None`` resolves to the run seed, ``RunConfig.seed``), so a
 ``--jobs N`` run injects exactly the same faults as a serial one.
 """
 

@@ -24,7 +24,6 @@ from repro.fleet.topology import (
     DEFAULT_FLEET,
     FleetSpec,
     active_fleet,
-    default_fleet,
     parse_fleet,
     set_default_fleet,
     set_default_placement,
@@ -47,6 +46,5 @@ __all__ = [
     "parse_fleet",
     "set_default_fleet",
     "set_default_placement",
-    "default_fleet",
     "active_fleet",
 ]

@@ -1,11 +1,10 @@
-"""The ``--fleet`` topology knob (install pattern).
+"""The ``--fleet`` topology knob.
 
-Follows :mod:`repro.traffic.tiers` / :mod:`repro.sim.fidelity`: the CLI
-installs a process-wide default (``--fleet SxD --placement P``), the
-parallel runner re-installs it in every worker call, and fleet-aware
-layers (the traffic ``drive_profile`` harness, the ``fleet-scaling``
-experiment) read :func:`active_fleet` — no threading through
-``run(quick=...)`` signatures.
+``--fleet SxD --placement P`` are fields of
+:class:`repro.config.RunConfig`; fleet-aware layers (the traffic
+``drive_profile`` harness, the ``fleet-scaling`` experiment) read them
+as one :class:`FleetSpec` via :func:`active_fleet` — no threading
+through ``run(quick=...)`` signatures.
 
 A :class:`FleetSpec` is the parameterized topology SCALE-Sim-style
 sweeps expand: ``sockets × devices_per_socket`` DSA instances plus the
@@ -14,9 +13,10 @@ placement policy name the scheduler instantiates per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
+from repro.config import active_config, parse_fleet, update
 from repro.fleet.policy import POLICIES
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "parse_fleet",
     "set_default_fleet",
     "set_default_placement",
-    "default_fleet",
     "active_fleet",
 ]
 
@@ -73,54 +72,22 @@ class FleetSpec:
 DEFAULT_FLEET = FleetSpec()
 
 
-def parse_fleet(text: str) -> Tuple[int, int]:
-    """Parse a ``--fleet`` value like ``"2x4"`` → ``(2, 4)``."""
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(
-            f"--fleet expects SOCKETSxDEVICES (e.g. '2x4'), got {text!r}"
-        )
-    try:
-        sockets, devices = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(
-            f"--fleet expects SOCKETSxDEVICES (e.g. '2x4'), got {text!r}"
-        ) from None
-    if sockets < 1 or devices < 1:
-        raise ValueError(f"--fleet dimensions must be >= 1, got {text!r}")
-    return sockets, devices
-
-
-_default_fleet = DEFAULT_FLEET
-
-
 def set_default_fleet(spec: Optional[str]) -> None:
-    """Install the process-wide fleet topology (the CLI's ``--fleet``).
+    """Set the run's fleet topology (the CLI's ``--fleet``).
 
     ``None`` or ``"1x1"`` restores the default single-device topology.
-    The placement policy installed earlier is preserved.
+    The placement policy set earlier is preserved.
     """
-    global _default_fleet
-    if spec is None:
-        sockets, devices = 1, 1
-    else:
-        sockets, devices = parse_fleet(spec)
-    _default_fleet = replace(
-        _default_fleet, sockets=sockets, devices_per_socket=devices
-    )
+    update(fleet="1x1" if spec is None else spec)
 
 
 def set_default_placement(name: str) -> None:
-    """Install the process-wide placement policy (``--placement``)."""
-    global _default_fleet
-    _default_fleet = replace(_default_fleet, placement=name)
-
-
-def default_fleet() -> FleetSpec:
-    """The installed fleet spec (``DEFAULT_FLEET`` unless overridden)."""
-    return _default_fleet
+    """Set the run's placement policy (``--placement``)."""
+    update(placement=name)
 
 
 def active_fleet() -> FleetSpec:
-    """Alias of :func:`default_fleet`, matching ``active_tier`` naming."""
-    return _default_fleet
+    """The active config's topology and placement as one spec."""
+    config = active_config()
+    sockets, devices = parse_fleet(config.fleet)
+    return FleetSpec(sockets, devices, config.placement)

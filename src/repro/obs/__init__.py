@@ -18,7 +18,6 @@ from repro.obs.metrics import (
     Gauge,
     HistogramMetric,
     MetricsRegistry,
-    default_hist_backend,
     install_metrics,
     installed_metrics,
     set_default_hist_backend,
@@ -54,7 +53,6 @@ __all__ = [
     "StreamingHistogram",
     "Tracer",
     "chrome_trace_events",
-    "default_hist_backend",
     "install_metrics",
     "install_sink",
     "install_tracer",

@@ -25,15 +25,17 @@ backends:
 The default mode is ``auto``: exact until
 :data:`AUTO_STREAMING_THRESHOLD` samples (small runs keep exact
 percentiles and byte-identical output), then the samples are folded
-into a streaming histogram and memory stops growing.  Select globally
-with :func:`set_default_hist_backend` (the CLI's ``--hist-backend``) or
-per metric via ``registry.histogram(name, backend=...)``.
+into a streaming histogram and memory stops growing.  The default is
+:attr:`repro.config.RunConfig.hist_backend` (the CLI's
+``--hist-backend``); pin one metric via
+``registry.histogram(name, backend=...)``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
+from repro.config import HIST_BACKENDS, active_config, update
 from repro.obs.streaming import StreamingHistogram
 from repro.sim.stats import Histogram as _SampleHistogram
 from repro.sim.stats import TimeWeightedStat
@@ -43,21 +45,10 @@ from repro.sim.stats import TimeWeightedStat
 #: stays exact; low enough that a million-sample run stays O(1).
 AUTO_STREAMING_THRESHOLD = 65536
 
-_BACKENDS = ("auto", "exact", "streaming")
-
-_default_backend = "auto"
-
 
 def set_default_hist_backend(backend: str) -> None:
     """Set the backend new :class:`HistogramMetric` objects default to."""
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown histogram backend {backend!r}; choose from {_BACKENDS}")
-    global _default_backend
-    _default_backend = backend
-
-
-def default_hist_backend() -> str:
-    return _default_backend
+    update(hist_backend=backend)
 
 
 class Counter:
@@ -121,9 +112,11 @@ class HistogramMetric:
 
     def __init__(self, name: str, backend: Optional[str] = None):
         self.name = name
-        backend = _default_backend if backend is None else backend
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown histogram backend {backend!r}; choose from {_BACKENDS}")
+        backend = active_config().hist_backend if backend is None else backend
+        if backend not in HIST_BACKENDS:
+            raise ValueError(
+                f"unknown histogram backend {backend!r}; choose from {list(HIST_BACKENDS)}"
+            )
         if backend == "streaming":
             self.samples: Union[_SampleHistogram, StreamingHistogram] = StreamingHistogram()
             self._auto_left: Optional[int] = None

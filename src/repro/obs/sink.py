@@ -29,6 +29,8 @@ import json
 import os
 from typing import Any, Dict, Optional
 
+from repro.config import active_config
+
 
 class ResultSink:
     """Append-only JSONL writer for streaming run results."""
@@ -100,7 +102,9 @@ class ResultSink:
 
         Re-reads the JSONL one line at a time (constant memory) to build
         the index: per-experiment line counts, anchor tallies, and total
-        wall time.  Returns the summary dict.
+        wall time.  The active run config is recorded as provenance
+        (``RunConfig(**summary["config"])`` rebuilds it).  Returns the
+        summary dict.
         """
         self.close()
         experiments: Dict[str, Dict[str, Any]] = {}
@@ -129,7 +133,10 @@ class ResultSink:
                 elif kind == "result":
                     per["cached"] = bool(record.get("cached"))
                     totals["wall_s"] += float(record.get("wall", 0.0))
-        summary = {"path": self.path, "experiments": experiments, **totals}
+        summary = {
+            "path": self.path, "experiments": experiments,
+            "config": active_config().as_dict(), **totals,
+        }
         with open(self.path + ".summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         return summary

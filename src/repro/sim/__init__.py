@@ -44,7 +44,6 @@ from repro.sim.calendar import (
     AUTO_PROMOTE_THRESHOLD,
     CALENDAR_BACKENDS,
     TimingWheel,
-    default_calendar,
     set_default_calendar,
 )
 from repro.sim.engine import (
@@ -63,7 +62,6 @@ from repro.sim.fidelity import (
     active_fidelity,
     fidelity,
     install_fidelity,
-    uninstall_fidelity,
 )
 from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.stats import Histogram, OnlineStat, TimeWeightedStat
@@ -71,21 +69,16 @@ from repro.sim.rng import (
     DEFAULT_SEED,
     BatchedStream,
     install_seed,
-    installed_seed,
     make_rng,
-    uninstall_seed,
 )
 
 __all__ = [
     "DEFAULT_SEED",
     "BatchedStream",
     "install_seed",
-    "installed_seed",
-    "uninstall_seed",
     "AUTO_PROMOTE_THRESHOLD",
     "CALENDAR_BACKENDS",
     "TimingWheel",
-    "default_calendar",
     "set_default_calendar",
     "ArrivalProcess",
     "BurstyProcess",
@@ -112,5 +105,4 @@ __all__ = [
     "active_fidelity",
     "fidelity",
     "install_fidelity",
-    "uninstall_fidelity",
 ]

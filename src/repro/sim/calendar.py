@@ -37,10 +37,9 @@ its arrival schedule) or promoted from a heap by ``--calendar auto``
 (calibrates over the tens of thousands of entries that triggered the
 promotion).
 
-Backend selection lives here too (:func:`set_default_calendar`), so the
-CLI and the parallel runner can install a process-wide default exactly
-like the histogram backend — ``heap`` (the byte-identical default),
-``wheel``, or ``auto`` (start on the heap, promote past
+The backend an ``Environment(calendar=None)`` gets is
+:attr:`repro.config.RunConfig.calendar` — ``heap`` (the byte-identical
+default), ``wheel``, or ``auto`` (start on the heap, promote past
 :data:`AUTO_PROMOTE_THRESHOLD` pending entries).
 """
 
@@ -50,8 +49,8 @@ from bisect import insort
 from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
-#: Calendar backends selectable via ``--calendar`` / ``Environment(calendar=)``.
-CALENDAR_BACKENDS = ("heap", "wheel", "auto")
+from repro.config import CALENDAR_BACKENDS as CALENDAR_BACKENDS  # re-export
+from repro.config import update
 
 #: ``auto`` promotes a heap calendar to a wheel once this many entries
 #: are pending at once.  Closed-loop experiment sweeps stay far below
@@ -75,27 +74,10 @@ TARGET_OCCUPANCY = 16.0
 #: earlier regardless, with whatever has been seen).
 CALIBRATE_AT = 8192
 
-_default_backend = "heap"
-
 
 def set_default_calendar(backend: str) -> None:
-    """Install the process-wide default for ``Environment(calendar=None)``.
-
-    The CLI applies ``--calendar`` here in the parent, and the parallel
-    runner re-applies it inside every worker process (module globals do
-    not cross the fork/spawn boundary).
-    """
-    global _default_backend
-    if backend not in CALENDAR_BACKENDS:
-        raise ValueError(
-            f"unknown calendar backend {backend!r}; choose from {CALENDAR_BACKENDS}"
-        )
-    _default_backend = backend
-
-
-def default_calendar() -> str:
-    """The backend ``Environment(calendar=None)`` resolves to right now."""
-    return _default_backend
+    """Set the backend ``Environment(calendar=None)`` resolves to."""
+    update(calendar=backend)
 
 
 #: Calendar entry shape shared with the engine's heap path.

@@ -30,8 +30,8 @@ import heapq
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional, TYPE_CHECKING
 
+from repro.config import active_config
 from repro.sim.calendar import AUTO_PROMOTE_THRESHOLD, CALENDAR_BACKENDS, TimingWheel
-from repro.sim.calendar import default_calendar as _default_calendar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs uses sim.stats)
     from repro.obs.metrics import MetricsRegistry
@@ -404,7 +404,7 @@ class Environment:
         from repro.obs.metrics import MetricsRegistry, installed_metrics
         from repro.obs.tracer import installed_tracer
 
-        backend = calendar if calendar is not None else _default_calendar()
+        backend = calendar if calendar is not None else active_config().calendar
         if backend not in CALENDAR_BACKENDS:
             raise ValueError(
                 f"unknown calendar backend {backend!r}; choose from {CALENDAR_BACKENDS}"

@@ -36,17 +36,20 @@ DES.
 
 Transients always take the DES: fault injection installed, shared
 platforms (another workload may perturb steady state), too few
-iterations to amortize a pilot.  Install pattern mirrors
-``repro.faults.inject``: the runner installs per worker so serial and
-``--jobs N`` runs tier identically.
+iterations to amortize a pilot.  The active mode is
+:attr:`repro.config.RunConfig.fidelity`, which the runner activates
+around every experiment, so serial and ``--jobs N`` runs tier
+identically.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, TYPE_CHECKING
+
+from repro.config import active_config, update, using
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (platform imports sim)
     from repro.dsa.opcodes import Opcode
@@ -327,59 +330,45 @@ def analytical_rate_bound(platform: "Platform", opcode: "Opcode", size: int) -> 
     return serial_rate
 
 
-# -- install pattern ----------------------------------------------------------
+# -- run-mode readers ---------------------------------------------------------
 
-#: Session-wide policy; see :func:`install_fidelity`.
-_installed: Optional[FidelityPolicy] = None
+#: One policy object per mode, so repeated reads return the same object.
+_POLICIES = {mode.value: FidelityPolicy.for_mode(mode) for mode in FidelityMode}
+
+
+def _mode_of(policy_or_mode: "FidelityPolicy | FidelityMode | str") -> str:
+    if isinstance(policy_or_mode, FidelityPolicy):
+        mode = policy_or_mode.mode.value
+        if policy_or_mode != _POLICIES[mode]:
+            raise ValueError(f"a run mode takes the default {mode!r} policy, not a custom one")
+        return mode
+    return FidelityMode(policy_or_mode).value
 
 
 def install_fidelity(policy_or_mode: "FidelityPolicy | FidelityMode | str") -> FidelityPolicy:
-    """Make a fidelity policy active for subsequent model runs.
+    """Set the run's fidelity mode; returns its policy.
 
-    Accepts a :class:`FidelityPolicy`, a :class:`FidelityMode`, or the
-    CLI mode string.  Mirrors ``faults.install_injector``: the parallel
-    runner re-installs per worker, so serial and ``--jobs N`` runs tier
-    identically.  Installing ``des`` is allowed and explicit — it
-    disables batching even if a caller later checks only for presence.
+    Accepts a :class:`FidelityPolicy` (a mode's default one), a
+    :class:`FidelityMode`, or the CLI mode string.  Installing ``des``
+    disables batching.
     """
-    global _installed
-    if isinstance(policy_or_mode, FidelityPolicy):
-        policy = policy_or_mode
-    elif isinstance(policy_or_mode, (FidelityMode, str)):
-        policy = FidelityPolicy.for_mode(policy_or_mode)
-    else:
-        raise TypeError(
-            "install_fidelity takes a FidelityPolicy, FidelityMode, or mode "
-            f"string, got {type(policy_or_mode).__name__}"
-        )
-    _installed = policy
-    return policy
-
-
-def uninstall_fidelity() -> None:
-    global _installed
-    _installed = None
+    return _POLICIES[update(fidelity=_mode_of(policy_or_mode)).fidelity]
 
 
 def active_fidelity() -> Optional[FidelityPolicy]:
     """The policy workloads should consult, or None when batching is off.
 
-    Returns ``None`` both when nothing is installed and when the
-    installed mode is ``des``, so call sites need a single check and
-    the default stays byte-identical to a build without the tier.
+    Returns ``None`` for the ``des`` mode, so call sites need a single
+    check and the default stays byte-identical to a build without the
+    tier.
     """
-    if _installed is None or not _installed.batching_enabled:
-        return None
-    return _installed
+    mode = active_config().fidelity
+    return None if mode == "des" else _POLICIES[mode]
 
 
 @contextlib.contextmanager
 def fidelity(policy_or_mode: "FidelityPolicy | FidelityMode | str") -> Iterator[FidelityPolicy]:
-    """Scoped install: restores whatever was active before on exit."""
-    global _installed
-    previous = _installed
-    policy = install_fidelity(policy_or_mode)
-    try:
-        yield policy
-    finally:
-        _installed = previous
+    """Scoped mode: restores the previous run mode on exit."""
+    config = replace(active_config(), fidelity=_mode_of(policy_or_mode))
+    with using(config):
+        yield _POLICIES[config.fidelity]

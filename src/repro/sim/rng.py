@@ -11,48 +11,29 @@ from typing import Optional, Union
 
 import numpy as np
 
-#: Project-wide default seed: experiments pass this unless overridden.
-DEFAULT_SEED = 0xD5A  # "DSA"
-
-#: Session-wide override for ``make_rng(None)``; see :func:`install_seed`.
-_installed_seed: Optional[int] = None
+from repro.config import DEFAULT_SEED, active_config, update
 
 
 def install_seed(seed: Optional[int]) -> None:
     """Make ``seed`` the default for every ``make_rng(None)`` call site.
 
-    The parallel runner (``repro.exec``) installs the run's seed in each
-    worker process before an experiment starts, so a ``--jobs N`` run
-    draws exactly the same streams as a serial one and ``--seed`` needs
-    no threading through every experiment signature.  ``None`` restores
-    :data:`DEFAULT_SEED`.
+    Sets :attr:`repro.config.RunConfig.seed` on the active config;
+    ``None`` restores :data:`DEFAULT_SEED`.
     """
-    global _installed_seed
-    if seed is not None and not isinstance(seed, int):
-        raise TypeError(f"seed must be an int or None, got {type(seed).__name__}")
-    _installed_seed = seed
-
-
-def uninstall_seed() -> None:
-    install_seed(None)
-
-
-def installed_seed() -> int:
-    """The seed ``make_rng(None)`` resolves to right now."""
-    return DEFAULT_SEED if _installed_seed is None else _installed_seed
+    update(seed=DEFAULT_SEED if seed is None else seed)
 
 
 def make_rng(seed: Optional[Union[int, np.random.Generator]] = None) -> np.random.Generator:
     """Return a seeded generator.
 
-    Accepts ``None`` (use the installed seed, normally
+    Accepts ``None`` (use the active run seed, normally
     :data:`DEFAULT_SEED`), an ``int`` seed, or an existing generator
     (returned unchanged, so call sites can thread one generator through
     a pipeline).
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(installed_seed() if seed is None else seed)
+    return np.random.default_rng(active_config().seed if seed is None else seed)
 
 
 def derive(rng: np.random.Generator, stream: int) -> np.random.Generator:

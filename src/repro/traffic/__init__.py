@@ -24,8 +24,6 @@ from repro.traffic.tiers import (
     TRAFFIC_MODES,
     ScaleTier,
     active_tier,
-    default_tier,
-    default_traffic,
     set_default_tier,
     set_default_traffic,
     tier_names,
@@ -49,8 +47,6 @@ __all__ = [
     "TRAFFIC_MODES",
     "ScaleTier",
     "active_tier",
-    "default_tier",
-    "default_traffic",
     "set_default_tier",
     "set_default_traffic",
     "tier_names",

@@ -9,14 +9,11 @@ a medium tier for local calibration, and a large tier a nightly job
 runs at the full ~2M-request scale.  ``docs/TRAFFIC.md`` carries the
 same table with expected timings.
 
-The active tier follows the install pattern of
-:mod:`repro.sim.fidelity` / :func:`repro.sim.calendar.set_default_calendar`:
-the CLI installs a process-wide default (``--tier``), the parallel
-runner re-installs it in every worker call, and experiments read
-:func:`active_tier` — no threading through ``run(quick=...)``
-signatures.  The same module holds the ``--traffic`` arrival-process
-override (force every tenant to Poisson/bursty/diurnal arrivals) since
-the two flags travel together.
+The tier name (``--tier``) and the ``--traffic`` arrival-process
+override (force every tenant to Poisson/bursty/diurnal arrivals) are
+fields of :class:`repro.config.RunConfig`; experiments read
+:func:`active_tier` and ``active_config().traffic`` — no threading
+through ``run(quick=...)`` signatures.
 """
 
 from __future__ import annotations
@@ -24,16 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.config import TRAFFIC_MODES, active_config, update
+
 __all__ = [
     "ScaleTier",
     "TIERS",
     "TRAFFIC_MODES",
     "tier_names",
     "set_default_tier",
-    "default_tier",
     "active_tier",
     "set_default_traffic",
-    "default_traffic",
 ]
 
 
@@ -59,7 +56,8 @@ class ScaleTier:
             raise ValueError(f"tier {self.name}: requests and tenants must be >= 1")
 
 
-#: The scale-threshold table.  Keep in sync with docs/TRAFFIC.md.
+#: The scale-threshold table, keyed by :data:`repro.config.TIER_NAMES`.
+#: Keep in sync with docs/TRAFFIC.md.
 TIERS: Dict[str, ScaleTier] = {
     "small": ScaleTier(
         name="small",
@@ -84,46 +82,21 @@ TIERS: Dict[str, ScaleTier] = {
     ),
 }
 
-#: ``--traffic`` override values: ``default`` keeps each tenant's own
-#: declared arrival process; the rest force one process family on all.
-TRAFFIC_MODES: Tuple[str, ...] = ("default", "poisson", "bursty", "diurnal")
-
-_default_tier = "small"
-_default_traffic = "default"
-
 
 def tier_names() -> Tuple[str, ...]:
     return tuple(TIERS)
 
 
 def set_default_tier(name: str) -> None:
-    """Install the process-wide scale tier (the CLI's ``--tier``)."""
-    global _default_tier
-    if name not in TIERS:
-        raise ValueError(f"unknown scale tier {name!r}; choose from {sorted(TIERS)}")
-    _default_tier = name
-
-
-def default_tier() -> str:
-    """The installed tier name."""
-    return _default_tier
+    """Set the run's scale tier (the CLI's ``--tier``)."""
+    update(tier=name)
 
 
 def active_tier() -> ScaleTier:
-    """The installed tier's row of the table."""
-    return TIERS[_default_tier]
+    """The active tier's row of the table."""
+    return TIERS[active_config().tier]
 
 
 def set_default_traffic(mode: str) -> None:
-    """Install the process-wide arrival override (the CLI's ``--traffic``)."""
-    global _default_traffic
-    if mode not in TRAFFIC_MODES:
-        raise ValueError(
-            f"unknown traffic mode {mode!r}; choose from {list(TRAFFIC_MODES)}"
-        )
-    _default_traffic = mode
-
-
-def default_traffic() -> str:
-    """The installed arrival override (``"default"`` = per-tenant)."""
-    return _default_traffic
+    """Set the run's arrival override (the CLI's ``--traffic``)."""
+    update(traffic=mode)

@@ -22,7 +22,7 @@ from repro.mem.address import AddressSpace
 from repro.obs import MetricsRegistry, install_metrics, uninstall_metrics
 from repro.platform import fleet_platform, spr_platform
 from repro.runtime.dml import Dml, DmlPath
-from repro.sim.rng import DEFAULT_SEED, install_seed, uninstall_seed
+from repro.sim.rng import DEFAULT_SEED, install_seed
 
 KB = 1024
 PAGE = 4096
@@ -236,7 +236,7 @@ def series_digests(exp_id):
         result = run_experiment(exp_id, quick=True)
     finally:
         uninstall_metrics()
-        uninstall_seed()
+        install_seed(None)
     digests = {
         f"series:{label}": _digest(series.points)
         for label, series in sorted(result.series.items())

@@ -11,8 +11,10 @@ import types
 import numpy as np
 import pytest
 
+from repro.config import RunConfig, active_config
 from repro.exec import ParallelRunner, ResultCache
 from repro.experiments import registry
+from repro.experiments.base import ExperimentResult
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -21,7 +23,7 @@ from repro.obs import (
     uninstall_metrics,
     uninstall_tracer,
 )
-from repro.sim.rng import DEFAULT_SEED, install_seed, installed_seed, make_rng, uninstall_seed
+from repro.sim.rng import DEFAULT_SEED, install_seed, make_rng
 
 CHEAP = ["fig4", "fig12"]
 
@@ -31,7 +33,7 @@ def _clean_obs():
     yield
     uninstall_metrics()
     uninstall_tracer()
-    uninstall_seed()
+    install_seed(None)
 
 
 class TestDeterminism:
@@ -45,8 +47,8 @@ class TestDeterminism:
             assert ser.result.metrics == par.result.metrics
 
     def test_explicit_seed_matches_across_modes(self):
-        serial = ParallelRunner(jobs=1, quick=True, seed=7).run(["fig4"])[0]
-        parallel = ParallelRunner(jobs=2, quick=True, seed=7).run(["fig4", "fig12"])[0]
+        serial = ParallelRunner(jobs=1, quick=True, config=RunConfig(seed=7)).run(["fig4"])[0]
+        parallel = ParallelRunner(jobs=2, quick=True, config=RunConfig(seed=7)).run(["fig4", "fig12"])[0]
         assert serial.result.render() == parallel.result.render()
 
 
@@ -54,10 +56,10 @@ class TestSeedPlumbing:
     def test_install_seed_changes_default_rng(self):
         baseline = make_rng().integers(0, 2**31)
         install_seed(12345)
-        assert installed_seed() == 12345
+        assert active_config().seed == 12345
         changed = make_rng().integers(0, 2**31)
-        uninstall_seed()
-        assert installed_seed() == DEFAULT_SEED
+        install_seed(None)
+        assert active_config().seed == DEFAULT_SEED
         assert make_rng().integers(0, 2**31) == baseline
         assert changed != baseline
 
@@ -66,7 +68,7 @@ class TestSeedPlumbing:
         try:
             a = make_rng(9).integers(0, 2**31)
         finally:
-            uninstall_seed()
+            install_seed(None)
         assert a == make_rng(9).integers(0, 2**31)
 
     def test_generator_passthrough(self):
@@ -78,8 +80,8 @@ class TestSeedPlumbing:
             install_seed("abc")
 
     def test_local_runner_restores_seed(self):
-        ParallelRunner(jobs=1, quick=True, seed=99).run(["fig12"])
-        assert installed_seed() == DEFAULT_SEED
+        ParallelRunner(jobs=1, quick=True, config=RunConfig(seed=99)).run(["fig12"])
+        assert active_config().seed == DEFAULT_SEED
 
 
 class TestCaching:
@@ -107,8 +109,8 @@ class TestCaching:
 
     def test_quick_and_seed_partition_the_cache(self, tmp_path):
         cache = ResultCache(root=tmp_path / "c")
-        ParallelRunner(jobs=1, quick=True, seed=1, cache=cache).run(["fig12"])
-        other = ParallelRunner(jobs=1, quick=True, seed=2, cache=cache).run(["fig12"])
+        ParallelRunner(jobs=1, quick=True, config=RunConfig(seed=1), cache=cache).run(["fig12"])
+        other = ParallelRunner(jobs=1, quick=True, config=RunConfig(seed=2), cache=cache).run(["fig12"])
         assert not other[0].cached
 
     def test_tracing_bypasses_cache_reads(self, tmp_path):
@@ -175,3 +177,59 @@ class TestFailurePaths:
         cache = ResultCache(root=tmp_path / "c")
         ParallelRunner(jobs=1, quick=True, cache=cache).run(["boom"])
         assert cache.entries() == []
+
+
+def _probe_run(quick=False):
+    """Report the run mode the experiment body actually sees."""
+    result = ExperimentResult(exp_id="probe", title="probe", description="")
+    result.seen = active_config()
+    return result
+
+
+class _SaltSpy(ResultCache):
+    """Records the (seed, variant) every lookup and store is keyed on."""
+
+    def __init__(self, root):
+        super().__init__(root=root)
+        self.salts = []
+
+    def get(self, exp_id, quick, seed, variant=""):
+        self.salts.append((seed, variant))
+        return None
+
+    def put(self, exp_id, quick, seed, result, wall, variant=""):
+        self.salts.append((seed, variant))
+        return None
+
+
+class TestRunConfigReachesTheExperiment:
+    """Serial, pool and single-miss local paths all run the runner's config."""
+
+    CONFIG = RunConfig(
+        seed=5, tier="medium", traffic="bursty", calendar="wheel", fleet="2x2",
+        placement="numa-local", hist_backend="exact",
+    )
+
+    @pytest.mark.parametrize(
+        "jobs, ids",
+        [
+            (1, ["probe"]),                # in-process
+            (2, ["probe", "probe-b"]),     # two misses: the worker pool
+            (4, ["probe"]),                # one miss: local despite jobs > 1
+        ],
+    )
+    def test_experiment_sees_the_runner_config(self, monkeypatch, tmp_path, jobs, ids):
+        module = types.ModuleType("repro_test_probe")
+        module.run = _probe_run
+        monkeypatch.setitem(sys.modules, "repro_test_probe", module)
+        for exp_id in ids:
+            monkeypatch.setitem(registry._EXPERIMENTS, exp_id, "repro_test_probe")
+        cache = _SaltSpy(tmp_path / "c")
+        outcomes = ParallelRunner(jobs=jobs, quick=True, config=self.CONFIG, cache=cache).run(ids)
+        for outcome in outcomes:
+            assert outcome.ok, outcome.error
+            assert outcome.result.seen == self.CONFIG
+        # One lookup and one store per experiment, all under the salt
+        # of the config that actually ran.
+        assert cache.salts == [(self.CONFIG.seed, self.CONFIG.variant())] * (2 * len(ids))
+        assert active_config() == RunConfig()

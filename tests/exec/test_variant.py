@@ -2,54 +2,56 @@
 
 The result cache keys on ``(exp_id, quick, seed, variant)``; the variant
 string is the only thing separating results produced under different
-runtime flags (histogram backend, fidelity tier). These tests pin the
-canonical builder — deterministic ordering, default elision — and prove
-that no two distinct flag combinations ever share a cache entry.
+run modes (histogram backend, fidelity tier, ...).  It is
+:meth:`RunConfig.variant`.  These tests pin its strings — deterministic
+ordering, default elision — and prove that no two distinct run modes
+ever share a cache entry.
 """
 
+import hashlib
 import itertools
 
 import pytest
 
-from repro.exec.cache import ResultCache, variant_string
+from repro.config import RunConfig
+from repro.exec.cache import CACHE_FORMAT, ResultCache
+from repro.exec.fingerprint import fingerprint
 from repro.exec.runner import ParallelRunner
+from repro.experiments.registry import module_path
 
 
 class TestVariantString:
     def test_empty_for_no_flags(self):
-        assert variant_string() == ""
+        assert RunConfig().variant() == ""
 
     def test_defaults_are_elided(self):
         # The default configuration must map to the pre-variant key ""
         # so existing caches stay valid.
-        assert variant_string(fidelity="des", hist="auto") == ""
-        assert variant_string(fidelity=None, hist=None) == ""
+        assert RunConfig(fidelity="des", hist_backend="auto").variant() == ""
 
     def test_keys_are_sorted(self):
         assert (
-            variant_string(hist="exact", fidelity="auto")
-            == variant_string(fidelity="auto", hist="exact")
+            RunConfig(hist_backend="exact", fidelity="auto").variant()
+            == RunConfig(fidelity="auto", hist_backend="exact").variant()
             == "fidelity=auto,hist=exact"
         )
 
-    def test_bools_normalise_to_ints(self):
-        assert variant_string(trace=True) == "trace=1"
-        assert variant_string(trace=False) == "trace=0"
-
     def test_separator_characters_rejected(self):
+        # Only validated choices reach the salt, so no value can carry
+        # a separator into it.
         with pytest.raises(ValueError):
-            variant_string(**{"bad=key": 1})
+            RunConfig(hist_backend="a,b")
         with pytest.raises(ValueError):
-            variant_string(hist="a,b")
+            RunConfig(fleet="2x2,tier=large")
 
     def test_distinct_flag_combos_never_collide(self):
-        fidelities = [None, "auto", "analytical"]
-        hists = [None, "exact", "streaming"]
-        calendars = [None, "wheel", "auto"]
-        traces = [False, True]
-        combos = list(itertools.product(fidelities, hists, calendars, traces))
+        fidelities = ["des", "auto", "analytical"]
+        hists = ["auto", "exact", "streaming"]
+        calendars = ["heap", "wheel", "auto"]
+        tiers = ["small", "large"]
+        combos = list(itertools.product(fidelities, hists, calendars, tiers))
         strings = [
-            variant_string(fidelity=f, hist=h, calendar=c, trace=t)
+            RunConfig(fidelity=f, hist_backend=h, calendar=c, tier=t).variant()
             for f, h, c, t in combos
         ]
         assert len(set(strings)) == len(combos)
@@ -57,31 +59,50 @@ class TestVariantString:
     def test_default_calendar_is_elided(self):
         # heap is the byte-identical default; it must map to the
         # pre-calendar key "" so existing caches stay valid.
-        assert variant_string(calendar="heap") == ""
-        assert variant_string(calendar=None) == ""
+        assert RunConfig(calendar="heap").variant() == ""
 
     def test_calendar_salts_the_variant(self):
-        assert variant_string(calendar="wheel") == "calendar=wheel"
-        assert variant_string(calendar="auto") == "calendar=auto"
+        assert RunConfig(calendar="wheel").variant() == "calendar=wheel"
+        assert RunConfig(calendar="auto").variant() == "calendar=auto"
+
+    def test_every_field_salts_except_seed(self):
+        config = RunConfig(
+            seed=7, fidelity="auto", calendar="wheel", hist_backend="exact",
+            tier="medium", traffic="bursty", fleet="2x2", placement="numa-local",
+        )
+        assert config.variant() == (
+            "calendar=wheel,fidelity=auto,fleet=2x2,hist=exact,"
+            "placement=numa-local,tier=medium,traffic=bursty"
+        )
+        assert RunConfig(seed=7).variant() == ""
+
+    def test_fleet_spelling_is_canonical(self):
+        assert RunConfig(fleet="1X1").variant() == ""
+        assert RunConfig(fleet="2X4").variant() == "fleet=2x4"
 
 
 class TestRunnerVariant:
     def test_default_runner_uses_legacy_empty_variant(self):
-        assert ParallelRunner(jobs=1)._cache_variant == ""
+        assert ParallelRunner(jobs=1).config.variant() == ""
 
     def test_fidelity_flag_salts_the_variant(self):
-        assert ParallelRunner(jobs=1, fidelity="auto")._cache_variant == "fidelity=auto"
+        runner = ParallelRunner(jobs=1, config=RunConfig(fidelity="auto"))
+        assert runner.config.variant() == "fidelity=auto"
 
     def test_explicit_des_matches_default(self):
-        assert ParallelRunner(jobs=1, fidelity="des")._cache_variant == ""
+        assert ParallelRunner(jobs=1, config=RunConfig(fidelity="des")).config.variant() == ""
 
     def test_combined_flags(self):
-        runner = ParallelRunner(jobs=1, hist_backend="streaming", fidelity="auto")
-        assert runner._cache_variant == "fidelity=auto,hist=streaming"
+        runner = ParallelRunner(
+            jobs=1, config=RunConfig(hist_backend="streaming", fidelity="auto")
+        )
+        assert runner.config.variant() == "fidelity=auto,hist=streaming"
 
     def test_calendar_flag_salts_the_variant(self):
-        assert ParallelRunner(jobs=1, calendar="wheel")._cache_variant == "calendar=wheel"
-        assert ParallelRunner(jobs=1, calendar="heap")._cache_variant == ""
+        wheel = ParallelRunner(jobs=1, config=RunConfig(calendar="wheel"))
+        heap = ParallelRunner(jobs=1, config=RunConfig(calendar="heap"))
+        assert wheel.config.variant() == "calendar=wheel"
+        assert heap.config.variant() == ""
 
 
 class TestCacheKeying:
@@ -98,3 +119,14 @@ class TestCacheKeying:
         a = cache.key("fig2", quick=True, seed=7, variant="fidelity=auto")
         b = cache.key("fig2", quick=True, seed=7, variant="fidelity=auto")
         assert a == b
+
+    def test_default_config_keeps_the_legacy_key(self, cache):
+        # Entries written before RunConfig existed were keyed with an
+        # empty variant, i.e. with no variant in the hashed material.
+        config = RunConfig()
+        material = (
+            f"v{CACHE_FORMAT}|fig2|quick=1|seed={config.seed}|"
+            f"{fingerprint(module_path('fig2'))}"
+        )
+        legacy = hashlib.sha256(material.encode("utf-8")).hexdigest()
+        assert cache.key("fig2", True, config.seed, config.variant()) == legacy

@@ -11,7 +11,7 @@ from repro.faults import (
     install_injector,
     uninstall_injector,
 )
-from repro.sim.rng import install_seed, uninstall_seed
+from repro.sim.rng import install_seed
 
 PAGE = 4096
 
@@ -20,7 +20,7 @@ PAGE = 4096
 def _clean_globals():
     yield
     uninstall_injector()
-    uninstall_seed()
+    install_seed(None)
 
 
 class TestFaultPlan:

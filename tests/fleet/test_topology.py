@@ -6,7 +6,6 @@ from repro.fleet.topology import (
     DEFAULT_FLEET,
     FleetSpec,
     active_fleet,
-    default_fleet,
     parse_fleet,
     set_default_fleet,
     set_default_placement,
@@ -72,10 +71,6 @@ class TestInstallPattern:
         set_default_fleet(None)
         # Back to 1x1, but the policy choice is sticky.
         assert active_fleet() == FleetSpec(1, 1, "numa-local")
-
-    def test_active_fleet_is_default_fleet(self):
-        set_default_fleet("2x1")
-        assert active_fleet() == default_fleet()
 
     def test_bad_placement_install_raises(self):
         with pytest.raises(ValueError, match="unknown placement policy"):

@@ -10,13 +10,13 @@ from repro.sim import (
     PoissonProcess,
     open_loop,
 )
-from repro.sim.rng import install_seed, uninstall_seed
+from repro.sim.rng import install_seed
 
 
 @pytest.fixture(autouse=True)
 def _clean_seed():
     yield
-    uninstall_seed()
+    install_seed(None)
 
 
 # -- construction and validation -------------------------------------------

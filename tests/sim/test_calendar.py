@@ -15,13 +15,13 @@ import pytest
 
 import repro.sim.calendar as calendar_mod
 import repro.sim.engine as engine_mod
+from repro.config import active_config
 from repro.sim import (
     AUTO_PROMOTE_THRESHOLD,
     CALENDAR_BACKENDS,
     Environment,
     SimulationError,
     TimingWheel,
-    default_calendar,
     set_default_calendar,
 )
 from repro.sim.engine import CALENDAR_COMPACT_THRESHOLD
@@ -196,7 +196,7 @@ def test_wheel_rejects_bad_params():
 
 
 def test_default_backend_is_heap():
-    assert default_calendar() == "heap"
+    assert active_config().calendar == "heap"
     env = Environment()
     assert env.calendar_backend == "heap"
     assert not env.using_wheel
@@ -205,19 +205,19 @@ def test_default_backend_is_heap():
 def test_set_default_calendar_round_trip():
     try:
         set_default_calendar("wheel")
-        assert default_calendar() == "wheel"
+        assert active_config().calendar == "wheel"
         env = Environment()
         assert env.calendar_backend == "wheel"
         assert env.using_wheel
     finally:
         set_default_calendar("heap")
-    assert default_calendar() == "heap"
+    assert active_config().calendar == "heap"
 
 
 def test_set_default_calendar_rejects_unknown():
     with pytest.raises(ValueError, match="unknown calendar backend"):
         set_default_calendar("btree")
-    assert default_calendar() == "heap"
+    assert active_config().calendar == "heap"
 
 
 def test_environment_rejects_unknown_backend():

@@ -29,9 +29,8 @@ from repro.sim.fidelity import (
     fidelity,
     install_fidelity,
     plan_closed_loop,
-    uninstall_fidelity,
 )
-from repro.sim.rng import DEFAULT_SEED, install_seed, uninstall_seed
+from repro.sim.rng import DEFAULT_SEED, install_seed
 from repro.sim.stats import Histogram
 from repro.obs.streaming import StreamingHistogram
 from repro.workloads.microbench import (
@@ -46,11 +45,11 @@ KB = 1024
 @pytest.fixture(autouse=True)
 def _clean_installs():
     """Every test starts and ends with no policy/seed/metrics installed."""
-    uninstall_fidelity()
+    install_fidelity("des")
     yield
-    uninstall_fidelity()
+    install_fidelity("des")
     uninstall_metrics()
-    uninstall_seed()
+    install_seed(None)
 
 
 def _seeded(fn, cfg, mode=None):
@@ -62,7 +61,7 @@ def _seeded(fn, cfg, mode=None):
         with fidelity(mode):
             return fn(cfg)
     finally:
-        uninstall_seed()
+        install_seed(None)
 
 
 class TestPolicyInstall:
@@ -73,7 +72,7 @@ class TestPolicyInstall:
         policy = install_fidelity("auto")
         assert policy.mode is FidelityMode.AUTO
         assert active_fidelity() is policy
-        uninstall_fidelity()
+        install_fidelity("des")
         assert active_fidelity() is None
 
     def test_des_mode_reports_inactive(self):
@@ -334,7 +333,7 @@ class TestDsaDifferential:
                 with fidelity("auto"):
                     run_dsa_microbench(cfg)
         finally:
-            uninstall_seed()
+            install_seed(None)
         assert registry.counter("fidelity.regions_batched").value == 0
 
     def test_shared_platform_forces_full_des(self):
@@ -345,7 +344,7 @@ class TestDsaDifferential:
             with fidelity("auto"):
                 run_dsa_microbench(cfg, platform=spr_platform(n_devices=1))
         finally:
-            uninstall_seed()
+            install_seed(None)
         assert registry.counter("fidelity.regions_batched").value == 0
 
 

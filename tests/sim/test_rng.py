@@ -9,29 +9,28 @@ the seed and rebuilds its streams) produce identical variates.
 import numpy as np
 import pytest
 
+from repro.config import active_config
 from repro.sim.rng import (
     DEFAULT_SEED,
     BatchedStream,
     derive,
     install_seed,
-    installed_seed,
     make_rng,
-    uninstall_seed,
 )
 
 
 @pytest.fixture(autouse=True)
 def _clean_seed():
     yield
-    uninstall_seed()
+    install_seed(None)
 
 
 def test_install_seed_round_trip():
-    assert installed_seed() == DEFAULT_SEED
+    assert active_config().seed == DEFAULT_SEED
     install_seed(99)
-    assert installed_seed() == 99
-    uninstall_seed()
-    assert installed_seed() == DEFAULT_SEED
+    assert active_config().seed == 99
+    install_seed(None)
+    assert active_config().seed == DEFAULT_SEED
 
 
 def test_install_seed_rejects_non_int():

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.exec.cache import variant_string
+from repro.config import RunConfig, active_config
 from repro.traffic import (
     TIERS,
     TRAFFIC_MODES,
     active_tier,
-    default_tier,
-    default_traffic,
     set_default_tier,
     set_default_traffic,
     tier_names,
@@ -36,12 +34,12 @@ def test_tier_table_shape():
 
 
 def test_install_globals_roundtrip():
-    assert default_tier() == "small"
+    assert active_config().tier == "small"
     set_default_tier("large")
-    assert default_tier() == "large"
+    assert active_config().tier == "large"
     assert active_tier() is TIERS["large"]
     set_default_traffic("bursty")
-    assert default_traffic() == "bursty"
+    assert active_config().traffic == "bursty"
 
 
 def test_install_rejects_unknown():
@@ -50,8 +48,8 @@ def test_install_rejects_unknown():
     with pytest.raises(ValueError, match="traffic mode"):
         set_default_traffic("fractal")
     # A rejected install leaves the previous value in place.
-    assert default_tier() == "small"
-    assert default_traffic() == "default"
+    assert active_config().tier == "small"
+    assert active_config().traffic == "default"
 
 
 def test_traffic_modes_cover_arrival_kinds():
@@ -64,14 +62,14 @@ def test_traffic_modes_cover_arrival_kinds():
 def test_default_tier_and_traffic_keep_historical_keys():
     # Defaults are dropped from the salt so pre-traffic cache entries
     # stay addressable.
-    assert variant_string(tier="small", traffic="default") == ""
-    assert variant_string(tier="small", traffic="default", hist="auto") == ""
+    assert RunConfig(tier="small", traffic="default").variant() == ""
+    assert RunConfig(tier="small", traffic="default", hist_backend="auto").variant() == ""
 
 
 def test_nondefault_tier_and_traffic_salt_the_key():
-    assert variant_string(tier="large", traffic="default") == "tier=large"
-    assert variant_string(tier="small", traffic="bursty") == "traffic=bursty"
+    assert RunConfig(tier="large", traffic="default").variant() == "tier=large"
+    assert RunConfig(tier="small", traffic="bursty").variant() == "traffic=bursty"
     assert (
-        variant_string(traffic="diurnal", tier="medium")
+        RunConfig(traffic="diurnal", tier="medium").variant()
         == "tier=medium,traffic=diurnal"
     )
