@@ -62,7 +62,6 @@ def _cmd_run(args) -> int:
         config = RunConfig(
             seed=args.seed,
             fidelity=args.fidelity,
-            calendar=args.calendar,
             hist_backend=args.hist_backend,
             tier=args.tier,
             traffic=args.traffic,
@@ -337,16 +336,6 @@ def _parser() -> argparse.ArgumentParser:
         "within a declared 5%% tolerance, DES fallback at transients), or "
         "analytical (loose gates, best-effort accuracy); see "
         "docs/PERFORMANCE.md section 6",
-    )
-    run_parser.add_argument(
-        "--calendar",
-        choices=["heap", "wheel", "auto"],
-        default="heap",
-        help="event-calendar backend: heap (binary heap, byte-identical "
-        "default), wheel (hierarchical timing wheel, O(1) amortized — for "
-        "open-loop runs with millions of pending timers), or auto (heap "
-        "until 65536 pending entries, then promote to a wheel); both pop "
-        "in the identical order, see docs/PERFORMANCE.md section 7",
     )
     run_parser.add_argument(
         "--tier",

@@ -1,10 +1,10 @@
 """One frozen description of a run's mode: :class:`RunConfig`.
 
 Every figure this repository regenerates is a function of three things:
-the code, the run mode and the seed.  The run mode is the eight values
-below — seed, fidelity tier, calendar and histogram backends, traffic
-scale tier and arrival override, fleet topology and placement policy —
-and this module is the only place they live.
+the code, the run mode and the seed.  The run mode is the seven values
+below — seed, fidelity tier, histogram backend, traffic scale tier and
+arrival override, fleet topology and placement policy — and this module
+is the only place they live.
 
 One instance is *active* at a time (:func:`active_config`).  The CLI
 builds one from its flags, and the parallel runner activates it with
@@ -12,7 +12,7 @@ builds one from its flags, and the parallel runner activates it with
 worker, so a serial run, a ``--jobs N`` run and the result-cache salt
 (:meth:`RunConfig.variant`) see the same values by construction.
 Readers consult the active instance once per object they build (per
-``Environment``, metric, RNG or experiment), never per simulated event.
+metric, RNG or experiment), never per simulated event.
 
 The active instance is a plain module global, not a ``contextvar``:
 runs are single-threaded and pool workers are separate processes.
@@ -32,7 +32,6 @@ from typing import Any, Dict, Iterator, Tuple
 DEFAULT_SEED = 0xD5A  # "DSA"
 
 FIDELITY_MODES: Tuple[str, ...] = ("des", "auto", "analytical")
-CALENDAR_BACKENDS: Tuple[str, ...] = ("heap", "wheel", "auto")
 HIST_BACKENDS: Tuple[str, ...] = ("auto", "exact", "streaming")
 TIER_NAMES: Tuple[str, ...] = ("small", "medium", "large")
 #: ``default`` keeps each tenant's declared arrival process; the rest
@@ -43,7 +42,6 @@ PLACEMENTS: Tuple[str, ...] = ("round-robin", "numa-local", "least-loaded")
 #: Field -> (noun for error messages, allowed values).
 _CHOICES = {
     "fidelity": ("fidelity mode", FIDELITY_MODES),
-    "calendar": ("calendar backend", CALENDAR_BACKENDS),
     "hist_backend": ("histogram backend", HIST_BACKENDS),
     "tier": ("scale tier", TIER_NAMES),
     "traffic": ("traffic mode", TRAFFIC_MODES),
@@ -54,7 +52,6 @@ _CHOICES = {
 #: of every stored cache key, so they never change.
 _SALT_KEYS = {
     "fidelity": "fidelity",
-    "calendar": "calendar",
     "hist_backend": "hist",
     "tier": "tier",
     "traffic": "traffic",
@@ -87,7 +84,6 @@ class RunConfig:
 
     seed: int = DEFAULT_SEED
     fidelity: str = "des"
-    calendar: str = "heap"
     hist_backend: str = "auto"
     tier: str = "small"
     traffic: str = "default"
@@ -149,7 +145,7 @@ def update(**changes: Any) -> RunConfig:
     """Replace fields of the active config (validated); returns it.
 
     The per-subsystem installers (``install_seed``,
-    ``set_default_calendar``, …) are one call to this each.
+    ``install_fidelity``, …) are one call to this each.
     """
     global _active
     _active = replace(_active, **changes)

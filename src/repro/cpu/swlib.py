@@ -90,9 +90,6 @@ class SoftwareKernels:
     def memcpy_ns(self, size: int, in_llc: bool = False) -> float:
         return self.time(Opcode.MEMMOVE, size, in_llc=in_llc)
 
-    def crc32_ns(self, size: int, in_llc: bool = False) -> float:
-        return self.time(Opcode.CRCGEN, size, in_llc=in_llc)
-
     def memset_ns(self, size: int, in_llc: bool = False, non_temporal: bool = False) -> float:
         if non_temporal:
             return NT_FILL.time(size, in_llc=in_llc)

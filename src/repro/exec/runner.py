@@ -3,11 +3,12 @@
 Experiments are independent simulations, so ``python -m repro run all``
 parallelises embarrassingly: each worker process runs one experiment at
 a time with its **own** installed tracer and metrics registry, under
-the runner's :class:`~repro.config.RunConfig`, and ships the finished :class:`~repro.experiments.base.ExperimentResult`
-(plus its trace-event list) back to the parent.  The parent then folds
-each worker's records into its own observability state —
-:meth:`Tracer.absorb` remaps per-worker track ids,
-:meth:`MetricsRegistry.absorb_flat` reloads the metrics snapshot — so
+the runner's :class:`~repro.config.RunConfig`, and ships the finished
+:class:`~repro.experiments.base.ExperimentResult` (plus its trace-event
+list) back to the parent.  The parent then folds each worker's records
+into its own observability state — :meth:`Tracer.absorb` remaps
+per-worker track ids, :meth:`MetricsRegistry.absorb_state` reloads the
+metrics' live state — so
 ``--trace``, ``--metrics``, and the run-summary table behave exactly as
 in a serial run.
 
@@ -178,15 +179,10 @@ class ParallelRunner:
             registry = installed_metrics()
             if registry is not None:
                 # Serial semantics: the shared registry holds the most
-                # recent experiment's metrics, not an accumulation.
+                # recent experiment's metrics, not an accumulation, as
+                # live metric objects with exact percentiles.
                 registry.clear()
-                state = getattr(outcome.result, "metrics_state", None)
-                if state:
-                    # Live state: histograms/gauges come back as real
-                    # metric objects with exact (merged) percentiles.
-                    registry.absorb_state(state)
-                else:
-                    registry.absorb_flat(outcome.result.metrics)
+                registry.absorb_state(outcome.result.metrics_state)
 
     def _sink_result(self, outcome: RunOutcome) -> None:
         """Append one ``result`` line for a finished outcome."""

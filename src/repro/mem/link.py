@@ -204,10 +204,6 @@ class FairShareLink:
             self._rearm()
         return event
 
-    def time_to_transfer(self, nbytes: float) -> float:
-        """Uncontended duration for ``nbytes`` (planning helper)."""
-        return nbytes / self.bandwidth
-
     # -- virtual-time fast path ------------------------------------------
     def _vrate(self) -> float:
         """dV/dt: service per unit weight delivered to each active flow."""

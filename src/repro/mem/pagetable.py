@@ -39,9 +39,6 @@ class PageTable:
         """Full uncached table-walk latency in ns."""
         return self.levels * WALK_STEP_NS
 
-    def page_number(self, va: int) -> int:
-        return va // self.page_size
-
     def pages_spanned(self, va: int, size: int) -> int:
         """Number of pages touched by the byte range ``[va, va+size)``."""
         if size <= 0:
@@ -71,9 +68,6 @@ class PageTable:
 
     def is_mapped(self, va: int) -> bool:
         return va // self.page_size in self._mapping
-
-    def mapped_pages(self) -> int:
-        return len(self._mapping)
 
     def _allocate_frame(self) -> int:
         frame = self._next_frame

@@ -296,21 +296,6 @@ class MetricsRegistry:
             else:
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
 
-    def absorb_flat(self, flat: Dict[str, float]) -> None:
-        """Fold a flat :meth:`snapshot` dict in as plain counters.
-
-        Lossy fallback for payloads that only carry a snapshot (old
-        cache entries): snapshot leaves (``foo.level``, ``foo.p99``, …)
-        cannot be turned back into live gauges or histograms, so each
-        leaf lands as a counter holding the final value — which is all
-        the CLI's rendering paths need.  A leaf that already exists as a
-        counter is overwritten, not summed (snapshots are absolute
-        values, not deltas).  Prefer :meth:`absorb_state` wherever the
-        producer can export live state.
-        """
-        for name, value in flat.items():
-            self.counter(name).value = float(value)
-
     def clear(self) -> None:
         self._metrics.clear()
 

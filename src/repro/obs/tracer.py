@@ -138,11 +138,6 @@ class Tracer:
 
     # -- streaming-reader surface ----------------------------------------
     @property
-    def record_count(self) -> int:
-        """Total records recorded (including any spilled to disk)."""
-        return len(self)
-
-    @property
     def spilled_records(self) -> int:
         """Records no longer held in memory (0 for the in-memory tracer)."""
         return 0

@@ -40,12 +40,7 @@ from repro.sim.arrivals import (
     PoissonProcess,
     open_loop,
 )
-from repro.sim.calendar import (
-    AUTO_PROMOTE_THRESHOLD,
-    CALENDAR_BACKENDS,
-    TimingWheel,
-    set_default_calendar,
-)
+from repro.sim.calendar import set_default_calendar
 from repro.sim.engine import (
     Condition,
     Environment,
@@ -76,9 +71,6 @@ __all__ = [
     "DEFAULT_SEED",
     "BatchedStream",
     "install_seed",
-    "AUTO_PROMOTE_THRESHOLD",
-    "CALENDAR_BACKENDS",
-    "TimingWheel",
     "set_default_calendar",
     "ArrivalProcess",
     "BurstyProcess",

@@ -4,8 +4,9 @@ Closed-loop experiments (the paper's figures) re-submit the moment a
 descriptor completes, so they never have more than queue-depth timers
 pending.  Open-loop traffic — the ROADMAP's datacenter serving mode —
 instead schedules work at instants drawn from an arrival process,
-independent of completions, which is exactly the millions-of-pending-
-timers regime the timing-wheel calendar exists for.
+independent of completions.  :func:`open_loop` still holds one pending
+timer per arrival stream, so the calendar stays at the model's
+in-flight work however many arrivals a run makes.
 
 Two processes are provided, both parameterized by ``rate`` in events
 per simulated nanosecond (the repo-wide time unit):
@@ -230,12 +231,6 @@ class DiurnalProcess(ArrivalProcess):
         self.phase = phase
         self._cursor = 0.0
         self._rng = derive(make_rng(rng), stream)
-
-    def rate_at(self, t: float) -> float:
-        """The envelope's instantaneous rate at absolute time ``t``."""
-        return self.rate * (
-            1.0 + self.amplitude * np.sin(2.0 * np.pi * t / self.period_ns + self.phase)
-        )
 
     def gaps(self, n: int) -> np.ndarray:
         units = self._rng.exponential(1.0, size=n)

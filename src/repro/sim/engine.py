@@ -6,15 +6,11 @@ code is written as generator functions ("processes") that ``yield``
 events; when a yielded event triggers, the process is resumed with the
 event's value.
 
-The calendar has two interchangeable backends (``Environment(calendar=
-...)``, CLI ``--calendar``): the default binary heap, byte-identical to
-every prior build, and the :class:`~repro.sim.calendar.TimingWheel` for
-runs with millions of *concurrent* pending timers, where the heap's
-O(log n) per-event tuple comparisons dominate.  ``auto`` starts on the
-heap and promotes one-way to a wheel past
-:data:`~repro.sim.calendar.AUTO_PROMOTE_THRESHOLD` pending entries.
-Both backends pop in the identical ``(when, priority, seq)`` total
-order, so a model never observes which one is underneath.
+The calendar is one binary heap.  Every run is bounded in-flight work
+(a device holds at most its WQ entries, an open loop one pending timer
+per tenant), so the heap stays at a few thousand entries even at the
+largest traffic tier, where ``O(log n)`` is about a dozen comparisons
+(``docs/PERFORMANCE.md`` §7).
 
 The engine also recycles :class:`Timeout` objects through a bounded
 free list (``Environment(timeout_pool=...)``): ``yield env.timeout()``
@@ -29,9 +25,6 @@ from __future__ import annotations
 import heapq
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional, TYPE_CHECKING
-
-from repro.config import active_config
-from repro.sim.calendar import AUTO_PROMOTE_THRESHOLD, CALENDAR_BACKENDS, TimingWheel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs uses sim.stats)
     from repro.obs.metrics import MetricsRegistry
@@ -149,10 +142,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        if env._fast:
-            _heappush(env._calendar, (env._now + delay, NORMAL, env._seq, self))
-        else:
-            env._insert_slow((env._now + delay, NORMAL, env._seq, self))
+        _heappush(env._calendar, (env._now + delay, NORMAL, env._seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -195,11 +185,9 @@ class Event:
         env._cancelled_events += 1
         if self._triggered:  # a live calendar entry exists for it
             env._dead_entries += 1
-            wheel = env._wheel
-            pending = len(env._calendar) if wheel is None else len(wheel)
             if (
                 env._dead_entries > CALENDAR_COMPACT_THRESHOLD
-                and env._dead_entries * 2 > pending
+                and env._dead_entries * 2 > len(env._calendar)
             ):
                 env._compact()
         return True
@@ -396,7 +384,6 @@ class Environment:
         initial_time: float = 0.0,
         tracer: Optional["Tracer"] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        calendar: Optional[str] = None,
         timeout_pool: int = DEFAULT_TIMEOUT_POOL,
     ):
         # Imported here, not at module level: repro.obs depends on
@@ -404,19 +391,8 @@ class Environment:
         from repro.obs.metrics import MetricsRegistry, installed_metrics
         from repro.obs.tracer import installed_tracer
 
-        backend = calendar if calendar is not None else active_config().calendar
-        if backend not in CALENDAR_BACKENDS:
-            raise ValueError(
-                f"unknown calendar backend {backend!r}; choose from {CALENDAR_BACKENDS}"
-            )
         self._now = float(initial_time)
         self._calendar: List = []
-        self._backend = backend
-        self._wheel: Optional[TimingWheel] = TimingWheel() if backend == "wheel" else None
-        # One flag, not two: the heap fast path tests a single slot
-        # attribute per insert; wheel and auto(-promotion) inserts go
-        # through _insert_slow.
-        self._fast = backend == "heap"
         if timeout_pool < 0:
             raise ValueError(f"timeout_pool must be >= 0, got {timeout_pool}")
         self._timeout_pool: List[Timeout] = []
@@ -447,18 +423,6 @@ class Environment:
     @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
-
-    @property
-    def calendar_backend(self) -> str:
-        """The backend this environment was built with (heap/wheel/auto)."""
-        return self._backend
-
-    @property
-    def using_wheel(self) -> bool:
-        """True once events are ordered by a timing wheel (wheel, or auto
-        after promotion)."""
-        return self._wheel is not None
-
 
     # -- event factories ------------------------------------------------
     def event(self) -> Event:
@@ -492,10 +456,7 @@ class Environment:
             ev._defused = False
             ev._cancelled = False
         self._seq += 1
-        if self._fast:
-            _heappush(self._calendar, (self._now + delay, NORMAL, self._seq, ev))
-        else:
-            self._insert_slow((self._now + delay, NORMAL, self._seq, ev))
+        _heappush(self._calendar, (self._now + delay, NORMAL, self._seq, ev))
         return ev
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -526,10 +487,7 @@ class Environment:
             ev._defused = False
             ev._cancelled = False
         self._seq += 1
-        if self._fast:
-            _heappush(self._calendar, (when, NORMAL, self._seq, ev))
-        else:
-            self._insert_slow((when, NORMAL, self._seq, ev))
+        _heappush(self._calendar, (when, NORMAL, self._seq, ev))
         return ev
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -543,52 +501,8 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        # No auto-promotion check here: pending-count growth into the
-        # millions is always timeout-driven (``timeout()`` checks), and
-        # keeping this non-pooled path two branches shorter matters for
-        # succeed/fail-heavy workloads.
         self._seq += 1
-        if self._fast:
-            _heappush(self._calendar, (self._now + delay, priority, self._seq, event))
-        else:
-            self._insert_slow((self._now + delay, priority, self._seq, event))
-
-    def _insert_slow(self, entry) -> None:
-        """Calendar insert for the wheel and auto backends.
-
-        ``auto`` environments stay on the heap (with this extra call
-        per insert) until the pending count crosses the promotion
-        threshold, then migrate one-way to a wheel.
-        """
-        wheel = self._wheel
-        if wheel is None:
-            _heappush(self._calendar, entry)
-            if len(self._calendar) > AUTO_PROMOTE_THRESHOLD:
-                self._promote()
-        else:
-            wheel.push(entry)
-
-    def _promote(self) -> None:
-        """One-way heap -> wheel migration (``auto`` backend only).
-
-        Live entries move to a fresh wheel, cancelled ones are dropped
-        on the way (they count as swept stale timers).  The heap list is
-        emptied *in place*: ``run()`` binds it locally, and finding it
-        empty is what makes the run loop re-check for the wheel.
-        """
-        wheel = TimingWheel()
-        calendar = self._calendar
-        dead = 0
-        push = wheel.push
-        for entry in calendar:
-            if entry[3]._cancelled:
-                dead += 1
-            else:
-                push(entry)
-        del calendar[:]
-        self._stale_timers += dead
-        self._dead_entries = 0
-        self._wheel = wheel
+        _heappush(self._calendar, (self._now + delay, priority, self._seq, event))
 
     # -- cancellation bookkeeping ---------------------------------------
     @property
@@ -605,14 +519,8 @@ class Environment:
         """Rebuild the calendar without cancelled entries (one O(n) pass).
 
         In place: ``run()`` binds the calendar list locally for speed,
-        so the list object's identity must survive compaction.  On the
-        wheel backend the sweep is delegated bucket-by-bucket.
+        so the list object's identity must survive compaction.
         """
-        wheel = self._wheel
-        if wheel is not None:
-            self._stale_timers += wheel.compact(lambda entry: entry[3]._cancelled)
-            self._dead_entries = 0
-            return
         calendar = self._calendar
         live = [entry for entry in calendar if not entry[3]._cancelled]
         self._stale_timers += len(calendar) - len(live)
@@ -657,18 +565,6 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none."""
-        wheel = self._wheel
-        if wheel is not None:
-            while True:
-                entry = wheel.peek()
-                if entry is None:
-                    return float("inf")
-                if entry[3]._cancelled:
-                    wheel.pop_due(float("inf"))
-                    self._stale_timers += 1
-                    self._dead_entries -= 1
-                    continue
-                return entry[0]
         calendar = self._calendar
         while calendar and calendar[0][3]._cancelled:
             _heappop(calendar)
@@ -682,17 +578,11 @@ class Environment:
         Cancelled entries encountered on the way are discarded without
         advancing the clock — they never happened.
         """
-        wheel = self._wheel
+        calendar = self._calendar
         while True:
-            if wheel is not None:
-                entry = wheel.pop_due(float("inf"))
-                if entry is None:
-                    raise SimulationError("empty calendar")
-                when, _prio, _seq, event = entry
-            else:
-                if not self._calendar:
-                    raise SimulationError("empty calendar")
-                when, _prio, _seq, event = _heappop(self._calendar)
+            if not calendar:
+                raise SimulationError("empty calendar")
+            when, _prio, _seq, event = _heappop(calendar)
             if event._cancelled:
                 self._stale_timers += 1
                 self._dead_entries -= 1
@@ -719,66 +609,56 @@ class Environment:
         refcount of exactly 2 — the loop local plus the ``getrefcount``
         argument — proves no model code still holds the object, so it
         is reset in place and parked on the free list for the next
-        ``timeout()`` call.  An ``auto`` environment may promote to the
-        wheel mid-run (a callback scheduling past the threshold empties
-        the heap in place), so the outer loop re-checks the backend
-        whenever the heap drains.
+        ``timeout()`` call.
         """
         if until is not None and until < self._now:
             raise ValueError(f"until ({until}) is in the past (now={self._now})")
+        calendar = self._calendar
+        pop = _heappop
         pool = self._timeout_pool
         pool_limit = self._pool_limit
         timeout_cls = Timeout
         refcount = getrefcount
         try:
-            while True:
-                wheel = self._wheel
-                if wheel is not None:
-                    self._run_wheel(wheel, until, pool, pool_limit)
+            while calendar:
+                if until is not None and calendar[0][0] > until:
+                    self._now = until
                     return
-                calendar = self._calendar
-                pop = _heappop
-                while calendar:
-                    if until is not None and calendar[0][0] > until:
-                        self._now = until
-                        return
-                    when, _prio, _seq, event = pop(calendar)
-                    if event._cancelled:
-                        # Lazily discard; the clock does not advance for
-                        # a timer that was cancelled before it fired.
-                        self._stale_timers += 1
-                        self._dead_entries -= 1
-                        if (
-                            type(event) is timeout_cls
-                            and len(pool) < pool_limit
-                            and refcount(event) == 2
-                        ):
-                            event._cancelled = False
-                            event._defused = False
-                            event._value = None
-                            event.callbacks.clear()
-                            pool.append(event)
-                        continue
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+                when, _prio, _seq, event = pop(calendar)
+                if event._cancelled:
+                    # Lazily discard; the clock does not advance for a
+                    # timer that was cancelled before it fired.
+                    self._stale_timers += 1
+                    self._dead_entries -= 1
                     if (
                         type(event) is timeout_cls
                         and len(pool) < pool_limit
                         and refcount(event) == 2
                     ):
-                        event._processed = False
+                        event._cancelled = False
                         event._defused = False
                         event._value = None
-                        callbacks.clear()
-                        event.callbacks = callbacks
+                        event.callbacks.clear()
                         pool.append(event)
-                if self._wheel is None:
-                    break
+                    continue
+                self._now = when
+                callbacks, event.callbacks = event.callbacks, None
+                event._processed = True
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+                if (
+                    type(event) is timeout_cls
+                    and len(pool) < pool_limit
+                    and refcount(event) == 2
+                ):
+                    event._processed = False
+                    event._defused = False
+                    event._value = None
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    pool.append(event)
             if until is not None:
                 self._now = until
         finally:
@@ -787,92 +667,3 @@ class Environment:
                 or self._stale_timers != self._stale_flushed
             ):
                 self._flush_cancel_metrics()
-
-    def _run_wheel(self, wheel: TimingWheel, until: Optional[float], pool, pool_limit) -> None:
-        """The wheel-backed run loop (same semantics as the heap loop).
-
-        Instead of a ``pop_due`` method call per event, the loop drains
-        each sorted bucket directly: the bucket list and cursor live in
-        locals, and only ``wheel._cur_pos`` is written back per event —
-        *before* callbacks run, so a callback pushing into the current
-        slot insorts at the right position.  The head entry's time is
-        checked against ``until`` whether or not it is cancelled —
-        exactly like the heap loop's ``calendar[0][0] > until`` check —
-        so a cancelled far-future entry still lets the clock settle at
-        ``until``.
-        """
-        limit = float("inf") if until is None else until
-        timeout_cls = Timeout
-        refcount = getrefcount
-        while True:
-            bucket = wheel._cur_bucket
-            pos = wheel._cur_pos
-            if bucket is None or pos >= len(bucket):
-                if wheel._tick is None:
-                    wheel._calibrate()
-                if not wheel._materialize_next():
-                    break
-                continue
-            consumed = 0
-            try:
-                while True:
-                    try:
-                        # The index doubles as the bounds check (free on
-                        # 3.11+ zero-cost exceptions) — a same-slot push
-                        # from a callback grows the bucket and is picked
-                        # up naturally.
-                        entry = bucket[pos]
-                    except IndexError:
-                        break
-                    if entry[0] > limit:
-                        wheel._cur_pos = pos
-                        self._now = until
-                        return
-                    # Clear the consumed slot and drop the locals so the
-                    # entry tuple frees: pooling needs refcount == 2.
-                    bucket[pos] = None
-                    pos += 1
-                    wheel._cur_pos = pos
-                    consumed += 1
-                    when, _prio, _seq, event = entry
-                    entry = None
-                    if event._cancelled:
-                        self._stale_timers += 1
-                        self._dead_entries -= 1
-                        if (
-                            type(event) is timeout_cls
-                            and len(pool) < pool_limit
-                            and refcount(event) == 2
-                        ):
-                            event._cancelled = False
-                            event._defused = False
-                            event._value = None
-                            event.callbacks.clear()
-                            pool.append(event)
-                        continue
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    if (
-                        type(event) is timeout_cls
-                        and len(pool) < pool_limit
-                        and refcount(event) == 2
-                    ):
-                        event._processed = False
-                        event._defused = False
-                        event._value = None
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
-            finally:
-                # The count is synced per bucket, not per event; a
-                # cancel-triggered compaction mid-bucket sees a count
-                # stale by at most one bucket's occupancy, which the
-                # compaction threshold heuristic absorbs.
-                wheel._count -= consumed
-        if until is not None:
-            self._now = until

@@ -206,7 +206,7 @@ class TestRunConfigReachesTheExperiment:
     """Serial, pool and single-miss local paths all run the runner's config."""
 
     CONFIG = RunConfig(
-        seed=5, tier="medium", traffic="bursty", calendar="wheel", fleet="2x2",
+        seed=5, tier="medium", traffic="bursty", fleet="2x2",
         placement="numa-local", hist_backend="exact",
     )
 

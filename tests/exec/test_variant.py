@@ -47,31 +47,21 @@ class TestVariantString:
     def test_distinct_flag_combos_never_collide(self):
         fidelities = ["des", "auto", "analytical"]
         hists = ["auto", "exact", "streaming"]
-        calendars = ["heap", "wheel", "auto"]
         tiers = ["small", "large"]
-        combos = list(itertools.product(fidelities, hists, calendars, tiers))
+        combos = list(itertools.product(fidelities, hists, tiers))
         strings = [
-            RunConfig(fidelity=f, hist_backend=h, calendar=c, tier=t).variant()
-            for f, h, c, t in combos
+            RunConfig(fidelity=f, hist_backend=h, tier=t).variant()
+            for f, h, t in combos
         ]
         assert len(set(strings)) == len(combos)
 
-    def test_default_calendar_is_elided(self):
-        # heap is the byte-identical default; it must map to the
-        # pre-calendar key "" so existing caches stay valid.
-        assert RunConfig(calendar="heap").variant() == ""
-
-    def test_calendar_salts_the_variant(self):
-        assert RunConfig(calendar="wheel").variant() == "calendar=wheel"
-        assert RunConfig(calendar="auto").variant() == "calendar=auto"
-
     def test_every_field_salts_except_seed(self):
         config = RunConfig(
-            seed=7, fidelity="auto", calendar="wheel", hist_backend="exact",
+            seed=7, fidelity="auto", hist_backend="exact",
             tier="medium", traffic="bursty", fleet="2x2", placement="numa-local",
         )
         assert config.variant() == (
-            "calendar=wheel,fidelity=auto,fleet=2x2,hist=exact,"
+            "fidelity=auto,fleet=2x2,hist=exact,"
             "placement=numa-local,tier=medium,traffic=bursty"
         )
         assert RunConfig(seed=7).variant() == ""
@@ -97,12 +87,6 @@ class TestRunnerVariant:
             jobs=1, config=RunConfig(hist_backend="streaming", fidelity="auto")
         )
         assert runner.config.variant() == "fidelity=auto,hist=streaming"
-
-    def test_calendar_flag_salts_the_variant(self):
-        wheel = ParallelRunner(jobs=1, config=RunConfig(calendar="wheel"))
-        heap = ParallelRunner(jobs=1, config=RunConfig(calendar="heap"))
-        assert wheel.config.variant() == "calendar=wheel"
-        assert heap.config.variant() == ""
 
 
 class TestCacheKeying:

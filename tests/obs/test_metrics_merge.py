@@ -1,7 +1,7 @@
 """Exact metrics merge: backends, export/absorb_state, --jobs 2 regression.
 
 The old parallel path flattened worker histograms to per-leaf counters
-(:meth:`MetricsRegistry.absorb_flat`), so a merged ``p99`` was just the
+(a reload of the flat snapshot), so a merged ``p99`` was just the
 last worker's final value and the parent registry lost the distribution
 entirely.  These tests pin the fixed behavior: worker registries export
 invertible state, histograms merge sample-for-sample (exact backend) or
@@ -94,7 +94,7 @@ class TestStateMerge:
         return registry
 
     def test_histogram_merge_is_exact_not_last_writer_wins(self):
-        """The absorb_flat regression: merged p99 must cover both workers."""
+        """The flat-snapshot regression: merged p99 must cover both workers."""
         worker_a = self._registry_with([500.0] * 100)
         worker_b = self._registry_with([2.0] * 100)
         parent = MetricsRegistry()
@@ -106,7 +106,7 @@ class TestStateMerge:
         combined = ExactHistogram()
         combined.extend([500.0] * 100 + [2.0] * 100)
         assert merged.percentile(99) == combined.percentile(99)
-        # absorb_flat would have left p99 at worker_b's 2.0.
+        # A flat snapshot reload would have left p99 at worker_b's 2.0.
         assert merged.percentile(99) != worker_b.histogram("lat").percentile(99)
         assert parent.counter("ops").value == 200.0
 
@@ -151,11 +151,6 @@ class TestStateMerge:
 
         state = self._registry_with([1.0, 2.0], backend="streaming").export_state()
         assert pickle.loads(pickle.dumps(state))["lat"][0] == "histogram"
-
-    def test_absorb_flat_remains_the_lossy_fallback(self):
-        registry = MetricsRegistry()
-        registry.absorb_flat({"lat.p99": 7.0})
-        assert registry.snapshot() == {"lat.p99": 7.0}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -31,8 +31,7 @@ class TestRunConfig:
         config = RunConfig()
         assert config.seed == DEFAULT_SEED
         assert config.as_dict() == {
-            "seed": DEFAULT_SEED, "fidelity": "des", "calendar": "heap",
-            "hist_backend": "auto", "tier": "small", "traffic": "default",
+            "seed": DEFAULT_SEED, "fidelity": "des", "hist_backend": "auto", "tier": "small", "traffic": "default",
             "fleet": "1x1", "placement": "round-robin",
         }
 
@@ -48,7 +47,6 @@ class TestRunConfig:
         "field, value",
         [
             ("fidelity", "exact"),
-            ("calendar", "btree"),
             ("hist_backend", "hdr"),
             ("tier", "huge"),
             ("traffic", "fractal"),
@@ -83,7 +81,7 @@ class TestActiveConfig:
     def test_rejected_update_leaves_the_config_alone(self):
         before = active_config()
         with pytest.raises(ValueError):
-            update(calendar="btree")
+            update(tier="huge")
         assert active_config() is before
 
     def test_readers_derive_from_the_fields(self):
@@ -126,12 +124,10 @@ class TestCli:
         path = tmp_path / "run.jsonl"
         argv = [
             "run", "fig12", "--quick", "--no-cache", "--seed", "9",
-            "--calendar", "wheel", "--fleet", "2x1", "--results", str(path),
+            "--fleet", "2x1", "--results", str(path),
         ]
         assert main(argv) == 0
         summary = json.loads((tmp_path / "run.jsonl.summary.json").read_text())
-        assert RunConfig(**summary["config"]) == RunConfig(
-            seed=9, calendar="wheel", fleet="2x1"
-        )
+        assert RunConfig(**summary["config"]) == RunConfig(seed=9, fleet="2x1")
         # The CLI's config is scoped to the run.
         assert active_config() == RunConfig()
