@@ -4,23 +4,33 @@ DSA caches translations locally and falls back to the socket IOMMU on
 a miss (paper §3.2).  Entries are keyed by (PASID, virtual page), so
 multiple processes share the device without flushes between them (F1).
 
+A descriptor's operand is translated as one range walk: a single pass
+over the range's pages against the ATC's LRU, then one batched
+:meth:`~repro.mem.iommu.Iommu.translate_pages` call for the pages that
+missed, in order.  Only the first page sits on the critical path; the
+rest are translated while data streams (Fig 8), unless they fault.
+Translating one address is the walk's one-page case.
+
 The ATC is also the natural choke point for deterministic fault
-injection (``repro.faults``): every device translation consults the
-active injector, which may turn it into a page fault (minor or major)
-or trigger an ATC shoot-down, before the real cache/IOMMU lookup runs.
+injection (``repro.faults``): inside the same pass every page consults
+the active injector, which may turn it into a page fault (minor or
+major) or trigger an ATC shoot-down, before the cache lookup runs.
 With no injector installed those checks are a single ``None`` test.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.faults.inject import active_injector
 from repro.mem.iommu import Iommu
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
+
+#: ``Iommu.translate_pages``' result for a range with no ATC misses.
+_NO_WALK: Tuple[float, Tuple[int, ...]] = (0.0, ())
 
 
 class DeviceAtc:
@@ -57,9 +67,6 @@ class DeviceAtc:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def _page_size(self, pasid: int) -> int:
-        return self.iommu._tables[pasid].page_size
-
     def _count(self, suffix: str) -> None:
         if self._metrics is not None:
             self._metrics.counter(f"{self.name}.{suffix}").add()
@@ -69,80 +76,30 @@ class DeviceAtc:
     ) -> Tuple[float, bool]:
         """Translate one address; ``(latency_ns, faulted)``.
 
-        ``service_fault=False`` models a BOF=0 engine: a faulting page
-        is *discovered* (walk latency charged) but not serviced — the
-        mapping is not created and nothing is cached, so software can
-        touch the page and resubmit the remainder.
+        The one-page case of the range walk: ``service_fault=False``
+        models a BOF=0 engine, for which a faulting page is *discovered*
+        (walk latency charged) but not serviced — the mapping is not
+        created and nothing is cached, so software can touch the page
+        and resubmit the remainder.
         """
-        injector = active_injector()
-        if injector is not None and injector.shootdown_due():
-            self.flush()
-            self._count("shootdowns")
-        key = (pasid, va // self._page_size(pasid))
-        if injector is not None:
-            kind = injector.page_fault(pasid, va, self._page_size(pasid))
-            if kind is not None:
-                # Injected fault: the stale/absent translation forces a
-                # walk that misses; drop any cached entry for the page.
-                self._cache.pop(key, None)
-                self.misses += 1
-                if self._m_misses is not None:
-                    self._m_misses.add()
-                self._count("injected_faults")
-                walk = (
-                    self.iommu.params.iotlb_hit_latency
-                    + self.iommu.params.walk_overhead
-                    + self.iommu._tables[pasid].walk_latency
-                )
-                if not service_fault:
-                    return self.hit_latency + walk, True
-                latency = walk + injector.service_latency_ns(kind)
-                if len(self._cache) >= self.entries:
-                    self._cache.popitem(last=False)
-                self._cache[key] = True
-                return self.hit_latency + latency, True
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            self.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.add()
-            return self.hit_latency, False
-        self.misses += 1
-        if self._m_misses is not None:
-            self._m_misses.add()
-        latency, faulted = self.iommu.translate(pasid, va, service_fault)
-        if faulted and not service_fault:
-            # Unserviced fault: the page stays unmapped, so caching the
-            # (absent) translation would be wrong.
-            return self.hit_latency + latency, True
-        if len(self._cache) >= self.entries:
-            self._cache.popitem(last=False)
-        self._cache[key] = True
-        return self.hit_latency + latency, faulted
+        latency, faults, _fault_va = self._walk(pasid, va, 1, service_fault)
+        return latency, faults > 0
 
     def translate_range(self, pasid: int, va: int, size: int) -> Tuple[float, int]:
-        """Translate a whole transfer's pages.
+        """Translate a whole transfer's pages in one range walk.
 
         Returns ``(critical_path_latency, faults)``.  Only the first
-        page's translation (plus any page-fault service) sits on the
-        critical path; subsequent pages are translated while data
-        streams (the reason huge pages barely move throughput, Fig 8).
+        page's translation sits on the critical path; subsequent pages
+        are translated while data streams (the reason huge pages barely
+        move throughput, Fig 8).  A page fault anywhere stalls the
+        engine for its full service time, so every faulting page's
+        latency is added.  Pages are looked up in the ATC in address
+        order; the misses go to the IOMMU as one batched walk.
         """
         if size <= 0:
             return 0.0, 0
-        page = self._page_size(pasid)
-        critical, first_fault = self.translate(pasid, va)
-        faults = int(first_fault)
-        first_page_end = (va // page + 1) * page
-        cursor = first_page_end
-        while cursor < va + size:
-            latency, faulted = self.translate(pasid, cursor)
-            if faulted:
-                # A fault stalls the engine for its full service time.
-                critical += latency
-                faults += 1
-            cursor += page
-        return critical, faults
+        latency, faults, _fault_va = self._walk(pasid, va, size, True)
+        return latency, faults
 
     def translate_range_partial(
         self, pasid: int, va: int, size: int
@@ -150,27 +107,119 @@ class DeviceAtc:
         """Translate pages until the first fault (BOF=0 semantics).
 
         Returns ``(critical_path_latency, faults, fault_va)``.  Walks
-        the same page sequence as :meth:`translate_range` but with
-        ``service_fault=False`` and stops at the first faulting page:
-        that fault is only discovered (walk latency on the critical
-        path), the page is left unmapped, and ``fault_va`` is the base
-        address of the faulting page (clamped to ``va`` for the first
-        page).  On a fault-free range the latency, cache state, and
-        IOMMU state are identical to :meth:`translate_range`.
+        the same page sequence as :meth:`translate_range` but stops at
+        the first faulting page: that fault is only discovered (walk
+        latency on the critical path), the page is left unmapped and
+        uncached, and ``fault_va`` is the base address of the faulting
+        page (clamped to ``va`` for the first page).  On a fault-free
+        range the latency, cache state, and IOMMU state are identical
+        to :meth:`translate_range`.
         """
         if size <= 0:
             return 0.0, 0, None
-        page = self._page_size(pasid)
-        critical, first_fault = self.translate(pasid, va, service_fault=False)
-        if first_fault:
-            return critical, 1, va
-        cursor = (va // page + 1) * page
-        while cursor < va + size:
-            latency, faulted = self.translate(pasid, cursor, service_fault=False)
-            if faulted:
-                return critical + latency, 1, cursor
-            cursor += page
-        return critical, 0, None
+        return self._walk(pasid, va, size, False)
+
+    def _walk(
+        self, pasid: int, va: int, size: int, service_fault: bool
+    ) -> Tuple[float, int, Optional[int]]:
+        """One pass over the pages of ``[va, va+size)``; ``size > 0``.
+
+        Returns ``(critical_path_latency, faults, fault_va)``.  Each
+        page consults the active injector (shoot-down, then injected
+        fault) and then the ATC's LRU, exactly as page-at-a-time
+        translation did; the ATC misses, in order, go to
+        :meth:`Iommu.translate_pages` once.  The IOMMU walk changes
+        nothing the ATC pass reads (a BOF=0 walk maps no page), so the
+        split preserves every cache, table and counter.  A BOF=0 walk
+        stops at its first faulting page: an injected fault, or else an
+        ATC miss whose page is unmapped.
+        """
+        iommu = self.iommu
+        table = iommu.table(pasid)
+        page = table.page_size
+        first_vpn = va // page
+        injector = active_injector()
+        cache = self._cache
+        entries = self.entries
+        mapping = table._mapping
+        misses: List[int] = []
+        injected: Dict[int, float] = {}
+        fault_vpn = None
+        hits = 0
+        for vpn in range(first_vpn, (va + size - 1) // page + 1):
+            key = (pasid, vpn)
+            if injector is not None:
+                if injector.shootdown_due():
+                    cache.clear()
+                    self._count("shootdowns")
+                kind = injector.page_fault(pasid, vpn * page, page)
+                if kind is not None:
+                    # Injected fault: the stale/absent translation forces
+                    # a walk that misses; drop any cached entry for the
+                    # page.  The IOMMU itself is not consulted.
+                    cache.pop(key, None)
+                    self._count("injected_faults")
+                    walk = iommu.walk_latency(table)
+                    if not service_fault:
+                        injected[vpn] = self.hit_latency + walk
+                        fault_vpn = vpn
+                        break
+                    injected[vpn] = self.hit_latency + (
+                        walk + injector.service_latency_ns(kind)
+                    )
+                    if len(cache) >= entries:
+                        cache.popitem(last=False)
+                    cache[key] = True
+                    continue
+            if key in cache:
+                cache.move_to_end(key)
+                hits += 1
+                continue
+            misses.append(vpn)
+            if not service_fault and vpn not in mapping:
+                # Unserviced fault: the page stays unmapped, so caching
+                # the (absent) translation would be wrong.
+                fault_vpn = vpn
+                break
+            if len(cache) >= entries:
+                cache.popitem(last=False)
+            cache[key] = True
+        missed = len(misses) + len(injected)
+        self.hits += hits
+        self.misses += missed
+        if self._m_hits is not None:
+            self._m_hits.add(hits)
+            self._m_misses.add(missed)
+        first_latency, faulted = (
+            iommu.translate_pages(pasid, misses, service_fault) if misses else _NO_WALK
+        )
+        hit_latency = self.hit_latency
+        if misses and misses[0] == first_vpn:
+            critical = hit_latency + first_latency
+        elif first_vpn in injected:
+            critical = injected[first_vpn]
+        else:
+            critical = hit_latency
+        if fault_vpn is not None:
+            # BOF=0: an injected and a discovered fault cost the same walk.
+            if fault_vpn == first_vpn:
+                return critical, 1, va
+            stall = hit_latency + iommu.walk_latency(table)
+            return critical + stall, 1, fault_vpn * page
+        faults = len(injected) + len(faulted)
+        if faults:
+            # Every fault stalls the engine: add each later faulting
+            # page's latency, in page order.
+            stalls = dict.fromkeys(
+                faulted,
+                hit_latency
+                + (iommu.walk_latency(table) + iommu.params.page_fault_latency),
+            )
+            stalls.update(injected)
+            for vpn in sorted(stalls):
+                if vpn != first_vpn:
+                    critical += stalls[vpn]
+        return critical, faults, None
 
     def flush(self) -> None:
         """Drop every cached translation (ATC shoot-down / device reset)."""

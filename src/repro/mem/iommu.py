@@ -5,13 +5,15 @@ IOMMU: the device's ATC sends translation requests tagged with a PASID;
 on an IOTLB miss the IOMMU walks the process page table, and on an
 unmapped page it raises a recoverable page fault serviced by the OS.
 The three cost tiers (IOTLB hit, table walk, page fault) are what this
-model provides.
+model provides.  :meth:`Iommu.translate_pages` walks a batch of pages
+(the device ATC's misses for one range) in one loop and books its
+counters once; :meth:`Iommu.translate` is its one-page case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.mem.pagetable import PageTable
 from repro.mem.tlb import Tlb
@@ -67,68 +69,89 @@ class Iommu:
     def is_attached(self, pasid: int) -> bool:
         return pasid in self._tables
 
+    def table(self, pasid: int) -> PageTable:
+        """The page table attached under ``pasid``; KeyError if none."""
+        table = self._tables.get(pasid)
+        if table is None:
+            raise KeyError(f"PASID {pasid} not attached to IOMMU")
+        return table
+
+    def walk_latency(self, table: PageTable) -> float:
+        """An IOTLB miss: the lookup, the walk overhead and the table walk."""
+        params = self.params
+        return params.iotlb_hit_latency + params.walk_overhead + table.walk_latency
+
     def translate(
         self, pasid: int, va: int, service_fault: bool = True
     ) -> Tuple[float, bool]:
         """Translate one address; returns ``(latency_ns, faulted)``.
 
-        ``faulted`` is True when the page was not yet mapped (e.g. a
-        non-prefaulted buffer).  With ``service_fault`` (the default,
-        matching BLOCK_ON_FAULT=1 behaviour) the OS services the fault
-        inline: the page is mapped, the full fault latency is charged,
-        and the IOTLB is filled.  With ``service_fault=False`` (the
-        BOF=0 path) the fault is only *discovered*: the walk latency is
+        The one-page case of :meth:`translate_pages`.
+        """
+        vpn = va // self.table(pasid).page_size
+        latency, faulted = self.translate_pages(pasid, [vpn], service_fault)
+        return latency, bool(faulted)
+
+    def translate_pages(
+        self, pasid: int, vpns: Sequence[int], service_fault: bool = True
+    ) -> Tuple[float, List[int]]:
+        """Walk the IOTLB and page table for ``vpns`` in order.
+
+        Returns ``(latency of vpns[0], the vpns that faulted)``; every
+        other page's latency is a constant the caller can rebuild
+        (IOTLB hit, walk, or walk plus fault service).  A page faults
+        when it is not yet mapped (e.g. a non-prefaulted buffer).  With
+        ``service_fault`` (the default, matching BLOCK_ON_FAULT=1) the
+        OS services the fault inline: the page is mapped, the full
+        fault latency is charged, and the IOTLB is filled.  With
+        ``service_fault=False`` (the BOF=0 path) the walk stops at the
+        first fault, which is only *discovered*: the walk latency is
         charged, the page stays unmapped, and nothing is cached — so a
         later retry after software touches the page faults no more.
+
+        Counters are booked once per call, not once per page.
         """
-        table = self._tables.get(pasid)
-        if table is None:
-            raise KeyError(f"PASID {pasid} not attached to IOMMU")
-        self.translations += 1
-        if self._m_translations is not None:
-            self._m_translations.add()
+        table = self.table(pasid)
+        if not vpns:
+            return 0.0, []
         iotlb = self._iotlbs[pasid]
-        if iotlb.lookup(va):
-            return self.params.iotlb_hit_latency, False
-        if self._m_iotlb_misses is not None:
-            self._m_iotlb_misses.add()
-        latency = self.params.iotlb_hit_latency + self.params.walk_overhead
-        mapped_before = table.is_mapped(va)
-        faulted = not mapped_before
+        cache = iotlb._cache
+        entries = iotlb.entries
+        mapping = table._mapping
+        first = vpns[0]
+        if first in cache:
+            first_latency = self.params.iotlb_hit_latency
+        else:
+            first_latency = self.walk_latency(table)
+            if first not in mapping and service_fault:
+                first_latency += self.params.page_fault_latency
+        faulted: List[int] = []
+        hits = 0
+        walks = 0
+        for vpn in vpns:
+            if vpn in cache:
+                cache.move_to_end(vpn)
+                hits += 1
+                continue
+            walks += 1
+            if vpn not in mapping:
+                faulted.append(vpn)
+                if not service_fault:
+                    # The walk discovered the miss; stop without mapping.
+                    break
+                # The OS services the fault: demand-map the page.
+                table.translate(vpn * table.page_size)
+            if len(cache) >= entries:
+                cache.popitem(last=False)
+            cache[vpn] = True
+        self.translations += hits + walks
+        iotlb.hits += hits
+        iotlb.misses += walks
+        if self._m_translations is not None:
+            self._m_translations.add(hits + walks)
+            self._m_iotlb_misses.add(walks)
         if faulted:
-            self.page_faults += 1
+            self.page_faults += len(faulted)
             if self._m_page_faults is not None:
-                self._m_page_faults.add()
-            if not service_fault:
-                # The walk discovered the miss; stop without mapping.
-                return latency + table.walk_latency, True
-        _pa, _minor = table.translate(va)
-        latency += table.walk_latency
-        if faulted:
-            latency += self.params.page_fault_latency
-        iotlb.fill(va)
-        return latency, faulted
-
-    def range_translation_cost(self, pasid: int, va: int, size: int) -> Tuple[float, float, int]:
-        """Translate every page under ``[va, va+size)``.
-
-        Returns ``(first_page_latency, pipelined_latency, faults)``.
-        The first page's translation is on the critical path of a
-        transfer; the remaining pages overlap with data streaming
-        (paper Fig 8: page size barely affects throughput), so callers
-        usually charge only ``first_page_latency`` plus any fault cost.
-        """
-        table = self._tables.get(pasid)
-        if table is None:
-            raise KeyError(f"PASID {pasid} not attached to IOMMU")
-        pages = table.pages_spanned(va, size)
-        if pages == 0:
-            return 0.0, 0.0, 0
-        first_latency, first_fault = self.translate(pasid, va)
-        faults = int(first_fault)
-        pipelined = 0.0
-        for index in range(1, pages):
-            latency, faulted = self.translate(pasid, va + index * table.page_size)
-            pipelined += latency
-            faults += int(faulted)
-        return first_latency, pipelined, faults
+                self._m_page_faults.add(len(faulted))
+        return first_latency, faulted

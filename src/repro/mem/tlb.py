@@ -1,8 +1,9 @@
-"""LRU translation lookaside buffer, shared by cores and the DSA ATC.
+"""LRU translation lookaside buffer: the IOMMU's per-PASID IOTLB.
 
-The device-side address translation cache (ATC) of DSA behaves the same
-way as a core TLB for our purposes: a bounded LRU map from virtual page
-number to translation, with hit/miss counting.
+A bounded LRU map from virtual page number to translation, with
+hit/miss counting.  :meth:`repro.mem.iommu.Iommu.translate_pages` walks
+it in bulk; :meth:`Tlb.lookup` and :meth:`Tlb.fill` are the one-page
+operations.
 """
 
 from __future__ import annotations

@@ -139,9 +139,9 @@ class TestIommu:
 
     def test_range_translation_counts_faults(self):
         iommu, table = self._attached()
-        first, pipelined, faults = iommu.range_translation_cost(7, 0, 4 * PAGE_4K)
-        assert faults == 4
-        assert first > 0 and pipelined > 0
+        first, faulted = iommu.translate_pages(7, range(4))
+        assert len(faulted) == 4
+        assert first > 0 and iommu.translations == 4
 
     def test_range_translation_huge_pages_fewer_translations(self):
         iommu4k, t4k = self._attached()
@@ -149,10 +149,11 @@ class TestIommu:
         iommu2m.attach(7, PageTable(PAGE_2M))
         size = 8 * 1024 * 1024
         t4k.map_range(0, size)
-        _f4, pipelined_4k, _ = iommu4k.range_translation_cost(7, 0, size)
-        iommu2m._tables[7].map_range(0, size)
-        _f2, pipelined_2m, _ = iommu2m.range_translation_cost(7, 0, size)
-        assert pipelined_2m < pipelined_4k
+        iommu4k.translate_pages(7, range(t4k.pages_spanned(0, size)))
+        t2m = iommu2m.table(7)
+        t2m.map_range(0, size)
+        iommu2m.translate_pages(7, range(t2m.pages_spanned(0, size)))
+        assert iommu2m.translations < iommu4k.translations
 
     def test_detach_then_translate_fails(self):
         iommu, _table = self._attached()
@@ -162,4 +163,5 @@ class TestIommu:
 
     def test_zero_size_range(self):
         iommu, _ = self._attached()
-        assert iommu.range_translation_cost(7, 0, 0) == (0.0, 0.0, 0)
+        assert iommu.translate_pages(7, []) == (0.0, [])
+        assert iommu.translations == 0
