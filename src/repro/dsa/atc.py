@@ -6,7 +6,7 @@ multiple processes share the device without flushes between them (F1).
 
 A descriptor's operand is translated as one range walk: a single pass
 over the range's pages against the ATC's LRU, then one batched
-:meth:`~repro.mem.iommu.Iommu.translate_pages` call for the pages that
+:meth:`~repro.mem.iommu.Iommu.translate` call for the pages that
 missed, in order.  Only the first page sits on the critical path; the
 rest are translated while data streams (Fig 8), unless they fault.
 Translating one address is the walk's one-page case.
@@ -21,6 +21,7 @@ With no injector installed those checks are a single ``None`` test.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.faults.inject import active_injector
@@ -28,9 +29,6 @@ from repro.mem.iommu import Iommu
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
-
-#: ``Iommu.translate_pages``' result for a range with no ATC misses.
-_NO_WALK: Tuple[float, Tuple[int, ...]] = (0.0, ())
 
 
 class DeviceAtc:
@@ -128,9 +126,9 @@ class DeviceAtc:
         page consults the active injector (shoot-down, then injected
         fault) and then the ATC's LRU, exactly as page-at-a-time
         translation did; the ATC misses, in order, go to
-        :meth:`Iommu.translate_pages` once.  The IOMMU walk changes
-        nothing the ATC pass reads (a BOF=0 walk maps no page), so the
-        split preserves every cache, table and counter.  A BOF=0 walk
+        :meth:`Iommu.translate` once.  The IOMMU walk changes nothing
+        the ATC pass reads (a BOF=0 walk maps no page), so the split
+        preserves every cache, table and counter.  A BOF=0 walk
         stops at its first faulting page: an injected fault, or else an
         ATC miss whose page is unmapped.
         """
@@ -159,13 +157,14 @@ class DeviceAtc:
                     # page.  The IOMMU itself is not consulted.
                     cache.pop(key, None)
                     self._count("injected_faults")
-                    walk = iommu.walk_latency(table)
                     if not service_fault:
-                        injected[vpn] = self.hit_latency + walk
+                        injected[vpn] = self.hit_latency + iommu.fault_latency(
+                            table, False
+                        )
                         fault_vpn = vpn
                         break
                     injected[vpn] = self.hit_latency + (
-                        walk + injector.service_latency_ns(kind)
+                        iommu.walk_latency(table) + injector.service_latency_ns(kind)
                     )
                     if len(cache) >= entries:
                         cache.popitem(last=False)
@@ -190,9 +189,7 @@ class DeviceAtc:
         if self._m_hits is not None:
             self._m_hits.add(hits)
             self._m_misses.add(missed)
-        first_latency, faulted = (
-            iommu.translate_pages(pasid, misses, service_fault) if misses else _NO_WALK
-        )
+        first_latency, faulted = iommu.translate(pasid, misses, service_fault)
         hit_latency = self.hit_latency
         if misses and misses[0] == first_vpn:
             critical = hit_latency + first_latency
@@ -204,21 +201,16 @@ class DeviceAtc:
             # BOF=0: an injected and a discovered fault cost the same walk.
             if fault_vpn == first_vpn:
                 return critical, 1, va
-            stall = hit_latency + iommu.walk_latency(table)
+            stall = hit_latency + iommu.fault_latency(table, False)
             return critical + stall, 1, fault_vpn * page
         faults = len(injected) + len(faulted)
         if faults:
             # Every fault stalls the engine: add each later faulting
             # page's latency, in page order.
-            stalls = dict.fromkeys(
-                faulted,
-                hit_latency
-                + (iommu.walk_latency(table) + iommu.params.page_fault_latency),
-            )
-            stalls.update(injected)
-            for vpn in sorted(stalls):
+            serviced = hit_latency + iommu.fault_latency(table)
+            for vpn in sorted(chain(faulted, injected)):
                 if vpn != first_vpn:
-                    critical += stalls[vpn]
+                    critical += injected.get(vpn, serviced)
         return critical, faults, None
 
     def flush(self) -> None:

@@ -5,9 +5,9 @@ IOMMU: the device's ATC sends translation requests tagged with a PASID;
 on an IOTLB miss the IOMMU walks the process page table, and on an
 unmapped page it raises a recoverable page fault serviced by the OS.
 The three cost tiers (IOTLB hit, table walk, page fault) are what this
-model provides.  :meth:`Iommu.translate_pages` walks a batch of pages
-(the device ATC's misses for one range) in one loop and books its
-counters once; :meth:`Iommu.translate` is its one-page case.
+model provides.  :meth:`Iommu.translate` walks a batch of pages (the
+device ATC's misses for one range) in one pass and books its counters
+once; translating one page is the one-element case.
 """
 
 from __future__ import annotations
@@ -81,75 +81,62 @@ class Iommu:
         params = self.params
         return params.iotlb_hit_latency + params.walk_overhead + table.walk_latency
 
-    def translate(
-        self, pasid: int, va: int, service_fault: bool = True
-    ) -> Tuple[float, bool]:
-        """Translate one address; returns ``(latency_ns, faulted)``.
+    def fault_latency(self, table: PageTable, service_fault: bool = True) -> float:
+        """A faulting page: the walk, plus the OS fault service when serviced.
 
-        The one-page case of :meth:`translate_pages`.
+        An unserviced (BOF=0) fault is only discovered, so it costs the
+        walk alone.
         """
-        vpn = va // self.table(pasid).page_size
-        latency, faulted = self.translate_pages(pasid, [vpn], service_fault)
-        return latency, bool(faulted)
+        latency = self.walk_latency(table)
+        if service_fault:
+            latency += self.params.page_fault_latency
+        return latency
 
-    def translate_pages(
+    def translate(
         self, pasid: int, vpns: Sequence[int], service_fault: bool = True
     ) -> Tuple[float, List[int]]:
-        """Walk the IOTLB and page table for ``vpns`` in order.
+        """Walk the IOTLB and page table for pages ``vpns`` in order.
 
         Returns ``(latency of vpns[0], the vpns that faulted)``; every
-        other page's latency is a constant the caller can rebuild
-        (IOTLB hit, walk, or walk plus fault service).  A page faults
-        when it is not yet mapped (e.g. a non-prefaulted buffer).  With
-        ``service_fault`` (the default, matching BLOCK_ON_FAULT=1) the
-        OS services the fault inline: the page is mapped, the full
-        fault latency is charged, and the IOTLB is filled.  With
-        ``service_fault=False`` (the BOF=0 path) the walk stops at the
-        first fault, which is only *discovered*: the walk latency is
-        charged, the page stays unmapped, and nothing is cached — so a
-        later retry after software touches the page faults no more.
+        other page costs an IOTLB hit, a walk (:meth:`walk_latency`) or
+        a fault (:meth:`fault_latency`).  Translating one page is the
+        one-element case.  A page faults when it is not yet mapped
+        (e.g. a non-prefaulted buffer).  With ``service_fault`` (the
+        default, matching BLOCK_ON_FAULT=1) the OS services the fault
+        inline: the page is mapped, the full fault latency is charged,
+        and the IOTLB is filled.  With ``service_fault=False`` (the
+        BOF=0 path) the walk stops at the first fault, which is only
+        *discovered*: the walk latency is charged, the page stays
+        unmapped, and nothing is cached — so a later retry after
+        software touches the page faults no more.
 
         Counters are booked once per call, not once per page.
         """
         table = self.table(pasid)
         if not vpns:
             return 0.0, []
-        iotlb = self._iotlbs[pasid]
-        cache = iotlb._cache
-        entries = iotlb.entries
         mapping = table._mapping
-        first = vpns[0]
-        if first in cache:
+        # A cached translation is always mapped (pages are never
+        # unmapped), so only IOTLB misses can fault.
+        hits, walked = self._iotlbs[pasid].access(
+            vpns, None if service_fault else mapping
+        )
+        faulted = [vpn for vpn in walked if vpn not in mapping]
+        if not walked or walked[0] != vpns[0]:
             first_latency = self.params.iotlb_hit_latency
+        elif faulted and faulted[0] == vpns[0]:
+            first_latency = self.fault_latency(table, service_fault)
         else:
             first_latency = self.walk_latency(table)
-            if first not in mapping and service_fault:
-                first_latency += self.params.page_fault_latency
-        faulted: List[int] = []
-        hits = 0
-        walks = 0
-        for vpn in vpns:
-            if vpn in cache:
-                cache.move_to_end(vpn)
-                hits += 1
-                continue
-            walks += 1
-            if vpn not in mapping:
-                faulted.append(vpn)
-                if not service_fault:
-                    # The walk discovered the miss; stop without mapping.
-                    break
+        if service_fault:
+            page = table.page_size
+            for vpn in faulted:
                 # The OS services the fault: demand-map the page.
-                table.translate(vpn * table.page_size)
-            if len(cache) >= entries:
-                cache.popitem(last=False)
-            cache[vpn] = True
-        self.translations += hits + walks
-        iotlb.hits += hits
-        iotlb.misses += walks
+                table.translate(vpn * page)
+        self.translations += hits + len(walked)
         if self._m_translations is not None:
-            self._m_translations.add(hits + walks)
-            self._m_iotlb_misses.add(walks)
+            self._m_translations.add(hits + len(walked))
+            self._m_iotlb_misses.add(len(walked))
         if faulted:
             self.page_faults += len(faulted)
             if self._m_page_faults is not None:

@@ -1,14 +1,15 @@
 """LRU translation lookaside buffer: the IOMMU's per-PASID IOTLB.
 
 A bounded LRU map from virtual page number to translation, with
-hit/miss counting.  :meth:`repro.mem.iommu.Iommu.translate_pages` walks
-it in bulk; :meth:`Tlb.lookup` and :meth:`Tlb.fill` are the one-page
-operations.
+hit/miss counting.  :meth:`Tlb.access` is its one operation: it looks
+up a batch of pages in order (the IOMMU hands it one range's pages at
+a time) and fills each miss.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Container, List, Optional, Sequence, Tuple
 
 
 class Tlb:
@@ -28,25 +29,35 @@ class Tlb:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def lookup(self, va: int) -> bool:
-        """True on hit; refreshes LRU position.  Misses are not filled."""
-        vpn = va // self.page_size
-        if vpn in self._cache:
-            self._cache.move_to_end(vpn)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
+    def access(
+        self, vpns: Sequence[int], fillable: Optional[Container[int]] = None
+    ) -> Tuple[int, List[int]]:
+        """Look up ``vpns`` in order; returns ``(hits, missed vpns)``.
 
-    def fill(self, va: int) -> None:
-        """Insert a translation, evicting the LRU entry if full."""
-        vpn = va // self.page_size
-        if vpn in self._cache:
-            self._cache.move_to_end(vpn)
-            return
-        if len(self._cache) >= self.entries:
-            self._cache.popitem(last=False)
-        self._cache[vpn] = True
+        A hit refreshes the page's LRU position.  A miss is filled,
+        evicting the least recently used entry when full.  With
+        ``fillable``, a miss outside it ends the walk unfilled: it is
+        the last page returned, and later pages are not looked up.
+        Counters are booked once per call.
+        """
+        cache = self._cache
+        entries = self.entries
+        missed: List[int] = []
+        hits = 0
+        for vpn in vpns:
+            if vpn in cache:
+                cache.move_to_end(vpn)
+                hits += 1
+                continue
+            missed.append(vpn)
+            if fillable is not None and vpn not in fillable:
+                break
+            if len(cache) >= entries:
+                cache.popitem(last=False)
+            cache[vpn] = True
+        self.hits += hits
+        self.misses += len(missed)
+        return hits, missed
 
     def invalidate_all(self) -> None:
         self._cache.clear()

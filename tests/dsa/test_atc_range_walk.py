@@ -2,8 +2,9 @@
 
 ``DeviceAtc`` translates a descriptor's operand as one range walk (one
 ATC pass, one batched IOMMU walk).  The oracle below is the page-at-a-
-time logic it replaced, kept verbatim apart from taking the ATC and the
-IOMMU as arguments.  Both are driven through the same random sequences
+time logic it replaced (including the one-page IOTLB lookup and fill),
+kept verbatim apart from taking the ATC, the IOMMU and the IOTLB as
+arguments.  Both are driven through the same random sequences
 of ranges, and every observable — returned tuples, LRU order of both
 caches, page-table mappings, counters and the metrics snapshot — must
 match exactly.
@@ -29,6 +30,26 @@ PASIDS = (1, 2)
 # -- oracle: page-at-a-time translation ------------------------------------------
 
 
+def oracle_tlb_lookup(tlb, va):
+    vpn = va // tlb.page_size
+    if vpn in tlb._cache:
+        tlb._cache.move_to_end(vpn)
+        tlb.hits += 1
+        return True
+    tlb.misses += 1
+    return False
+
+
+def oracle_tlb_fill(tlb, va):
+    vpn = va // tlb.page_size
+    if vpn in tlb._cache:
+        tlb._cache.move_to_end(vpn)
+        return
+    if len(tlb._cache) >= tlb.entries:
+        tlb._cache.popitem(last=False)
+    tlb._cache[vpn] = True
+
+
 def oracle_iommu_translate(iommu, pasid, va, service_fault=True):
     table = iommu._tables.get(pasid)
     if table is None:
@@ -37,7 +58,7 @@ def oracle_iommu_translate(iommu, pasid, va, service_fault=True):
     if iommu._m_translations is not None:
         iommu._m_translations.add()
     iotlb = iommu._iotlbs[pasid]
-    if iotlb.lookup(va):
+    if oracle_tlb_lookup(iotlb, va):
         return iommu.params.iotlb_hit_latency, False
     if iommu._m_iotlb_misses is not None:
         iommu._m_iotlb_misses.add()
@@ -54,7 +75,7 @@ def oracle_iommu_translate(iommu, pasid, va, service_fault=True):
     latency += table.walk_latency
     if faulted:
         latency += iommu.params.page_fault_latency
-    iotlb.fill(va)
+    oracle_tlb_fill(iotlb, va)
     return latency, faulted
 
 
@@ -263,7 +284,8 @@ def test_single_page_translate_matches_oracle(page, atc_entries, iotlb_entries, 
         if via_atc:
             assert atc.translate(pasid, va) == oracle_atc_translate(oracle, pasid, va)
         else:
-            assert atc.iommu.translate(pasid, va) == oracle_iommu_translate(
+            latency, faulted = atc.iommu.translate(pasid, [va // page])
+            assert (latency, bool(faulted)) == oracle_iommu_translate(
                 oracle.iommu, pasid, va
             )
     assert observe(atc, registry) == observe(oracle, oracle_registry)

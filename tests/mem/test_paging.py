@@ -64,39 +64,41 @@ class TestPageTable:
 class TestTlb:
     def test_miss_then_fill_then_hit(self):
         tlb = Tlb(entries=4, page_size=PAGE_4K)
-        assert not tlb.lookup(0x1000)
-        tlb.fill(0x1000)
-        assert tlb.lookup(0x1000)
+        assert tlb.access([1]) == (0, [1])  # the miss is filled
+        assert tlb.access([1]) == (1, [])
         assert tlb.hits == 1 and tlb.misses == 1
 
     def test_lru_eviction(self):
         tlb = Tlb(entries=2, page_size=PAGE_4K)
-        tlb.fill(0 * PAGE_4K)
-        tlb.fill(1 * PAGE_4K)
-        tlb.lookup(0 * PAGE_4K)  # refresh page 0
-        tlb.fill(2 * PAGE_4K)  # evicts page 1 (LRU)
-        assert tlb.lookup(0 * PAGE_4K)
-        assert not tlb.lookup(1 * PAGE_4K)
+        tlb.access([0, 1])
+        tlb.access([0])  # refresh page 0
+        tlb.access([2])  # evicts page 1 (LRU)
+        assert tlb.access([0]) == (1, [])
+        assert tlb.access([1]) == (0, [1])
 
     def test_capacity_bound(self):
         tlb = Tlb(entries=3, page_size=PAGE_4K)
-        for i in range(10):
-            tlb.fill(i * PAGE_4K)
+        tlb.access(range(10))
         assert len(tlb) == 3
 
     def test_invalidate_all(self):
         tlb = Tlb(entries=4, page_size=PAGE_4K)
-        tlb.fill(0)
+        tlb.access([0])
         tlb.invalidate_all()
-        assert not tlb.lookup(0)
+        assert tlb.access([0]) == (0, [0])
 
     def test_hit_rate(self):
         tlb = Tlb(entries=4, page_size=PAGE_4K)
         assert tlb.hit_rate == 0.0
-        tlb.fill(0)
-        tlb.lookup(0)
-        tlb.lookup(PAGE_4K)
+        tlb.access([0, 0])
         assert tlb.hit_rate == pytest.approx(0.5)
+
+    def test_unfillable_miss_ends_the_walk(self):
+        tlb = Tlb(entries=4, page_size=PAGE_4K)
+        tlb.access([0])
+        assert tlb.access([0, 1, 2, 3], fillable={0, 1, 3}) == (1, [1, 2])
+        assert list(tlb._cache) == [0, 1]
+        assert tlb.hits == 1 and tlb.misses == 3
 
 
 class TestIommu:
@@ -109,7 +111,7 @@ class TestIommu:
     def test_translate_requires_attached_pasid(self):
         iommu = Iommu()
         with pytest.raises(KeyError):
-            iommu.translate(99, 0x1000)
+            iommu.translate(99, [1])
 
     def test_double_attach_rejected(self):
         iommu, table = self._attached()
@@ -118,28 +120,28 @@ class TestIommu:
 
     def test_fault_cost_dominates_unmapped_page(self):
         iommu, table = self._attached()
-        latency, faulted = iommu.translate(7, 0x5000)
+        latency, faulted = iommu.translate(7, [0x5000 // PAGE_4K])
         assert faulted
         assert latency >= iommu.params.page_fault_latency
 
     def test_prefaulted_page_avoids_fault(self):
         iommu, table = self._attached()
         table.map_range(0x5000, PAGE_4K)
-        latency, faulted = iommu.translate(7, 0x5000)
+        latency, faulted = iommu.translate(7, [0x5000 // PAGE_4K])
         assert not faulted
         assert latency < iommu.params.page_fault_latency
 
     def test_iotlb_hit_is_cheapest(self):
         iommu, table = self._attached()
         table.map_range(0x5000, PAGE_4K)
-        first, _ = iommu.translate(7, 0x5000)
-        second, _ = iommu.translate(7, 0x5000)
+        first, _ = iommu.translate(7, [0x5000 // PAGE_4K])
+        second, _ = iommu.translate(7, [0x5000 // PAGE_4K])
         assert second == iommu.params.iotlb_hit_latency
         assert second < first
 
     def test_range_translation_counts_faults(self):
         iommu, table = self._attached()
-        first, faulted = iommu.translate_pages(7, range(4))
+        first, faulted = iommu.translate(7, range(4))
         assert len(faulted) == 4
         assert first > 0 and iommu.translations == 4
 
@@ -149,19 +151,19 @@ class TestIommu:
         iommu2m.attach(7, PageTable(PAGE_2M))
         size = 8 * 1024 * 1024
         t4k.map_range(0, size)
-        iommu4k.translate_pages(7, range(t4k.pages_spanned(0, size)))
+        iommu4k.translate(7, range(t4k.pages_spanned(0, size)))
         t2m = iommu2m.table(7)
         t2m.map_range(0, size)
-        iommu2m.translate_pages(7, range(t2m.pages_spanned(0, size)))
+        iommu2m.translate(7, range(t2m.pages_spanned(0, size)))
         assert iommu2m.translations < iommu4k.translations
 
     def test_detach_then_translate_fails(self):
         iommu, _table = self._attached()
         iommu.detach(7)
         with pytest.raises(KeyError):
-            iommu.translate(7, 0)
+            iommu.translate(7, [0])
 
     def test_zero_size_range(self):
         iommu, _ = self._attached()
-        assert iommu.translate_pages(7, []) == (0.0, [])
+        assert iommu.translate(7, []) == (0.0, [])
         assert iommu.translations == 0
