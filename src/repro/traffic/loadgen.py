@@ -8,6 +8,14 @@ and explicit shed accounting — nothing blocks an open-loop arrival
 stream, requests that exhaust their retry budget are *dropped* and
 counted, exactly like an overloaded server.
 
+Each DSA request is a short chain of calendar callbacks
+(:class:`_DsaRequest`), not a process: arrival -> placement -> ENQCMD
+``enqcmd_ns`` later -> on a reject, one timer for the backoff plus the
+next ENQCMD -> on accept, a callback on the descriptor's completion
+event -> SLO accounting, or fleet failover and re-placement.  No
+generator runs per request, so a request costs its calendar entries
+and nothing else.
+
 Tenants targeting ``"cpu"`` instead run on a :class:`CpuServicePool`:
 ``cpu_cores`` workers serving the calibrated software-kernel times from
 a bounded backlog (arrivals beyond ``cpu_queue_limit`` shed).  That
@@ -30,6 +38,7 @@ batching) are draw-for-draw identical.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cpu.swlib import SoftwareKernels
@@ -62,7 +71,8 @@ class CpuServicePool:
     completion :class:`~repro.sim.engine.Event` or ``None`` when the
     backlog is at ``queue_limit`` (the request is shed — the caller
     accounts the drop).  Workers serve FIFO, each request occupying one
-    worker for the calibrated ``kernels.time(opcode, size)``.
+    worker for the calibrated ``kernels.time(opcode, size)``; a worker
+    is a callback on its wake event and service timer, not a process.
     """
 
     def __init__(
@@ -90,7 +100,7 @@ class CpuServicePool:
         self._m_shed = env.metrics.counter(f"{name}.shed")
         self._m_depth = env.metrics.gauge(f"{name}.depth")
         for _ in range(cores):
-            env.process(self._worker(), name=f"{name}.worker")
+            self._park()
 
     @property
     def depth(self) -> int:
@@ -110,22 +120,30 @@ class CpuServicePool:
             self._idle.pop().succeed(None)
         return done
 
-    def _worker(self):
-        env = self.env
-        while True:
-            while not self._queue:
-                # Park on a fresh one-shot event; try_submit wakes one
-                # parked worker per admission.  A run ends cleanly with
-                # workers parked (untriggered events hold no calendar
-                # entries).
-                wake = Event(env)
-                self._idle.append(wake)
-                yield wake
-            service_ns, done = self._queue.popleft()
-            self._m_depth.update(env.now, len(self._queue))
-            yield env.timeout(service_ns)
-            self.served += 1
-            done.succeed(env.now)
+    def _park(self) -> None:
+        """Park one worker on a fresh one-shot wake event.
+
+        ``try_submit`` wakes one parked worker per admission.  A run
+        ends cleanly with workers parked (untriggered events hold no
+        calendar entries).
+        """
+        wake = Event(self.env)
+        wake.callbacks.append(self._serve)
+        self._idle.append(wake)
+
+    def _serve(self, _event: Optional[Event]) -> None:
+        """A free worker takes the backlog's head, or parks when empty."""
+        if not self._queue:
+            self._park()
+            return
+        service_ns, done = self._queue.popleft()
+        self._m_depth.update(self.env.now, len(self._queue))
+        self.env.timeout(service_ns).callbacks.append(partial(self._finish, done))
+
+    def _finish(self, done: Event, _event: Event) -> None:
+        self.served += 1
+        done.succeed(self.env.now)
+        self._serve(None)
 
 
 class _TenantState:
@@ -144,6 +162,152 @@ class _TenantState:
         self.wq = None
         #: Submitter socket under fleet placement (NUMA-aware policies).
         self.socket = 0
+
+
+class _DsaRequest:
+    """One DSA request in flight, driven as a chain of calendar callbacks.
+
+    :meth:`place` picks the device and arms the first ENQCMD, which
+    lands ``enqcmd_ns`` later in :meth:`_enqcmd`.  A rejected ENQCMD
+    arms one timer for the backoff plus the next ENQCMD
+    (``timeout_at((now + backoff) + enqcmd_ns)``, the float order of
+    two chained delays); an accepted one hangs :meth:`_done` on the
+    descriptor's completion event.  :meth:`_done` books the SLO
+    accounting, or, for a fleet device that was disabled under the
+    request, fails over to :meth:`place` again.
+    """
+
+    __slots__ = (
+        "gen",
+        "state",
+        "arrived",
+        "size",
+        "descriptor",
+        "attempts",
+        "failed_device",
+        "device",
+        "wq_id",
+    )
+
+    def __init__(
+        self,
+        gen: "LoadGenerator",
+        state: _TenantState,
+        arrived: float,
+        size: int,
+        descriptor: WorkDescriptor,
+    ):
+        self.gen = gen
+        self.state = state
+        self.arrived = arrived
+        self.size = size
+        self.descriptor = descriptor
+        #: Failed ENQCMDs plus failovers: the request's retry budget.
+        self.attempts = 0
+        self.failed_device: Optional[str] = None
+        self.device = None
+        self.wq_id = 0
+
+    def place(self) -> None:
+        """Choose the device (fleet placement or the tenant's own WQ)."""
+        gen = self.gen
+        state = self.state
+        scheduler = gen.scheduler
+        if scheduler is not None and state.device is None:
+            failed = self.failed_device
+            try:
+                portal = scheduler.select(
+                    socket=state.socket, exclude=(failed,) if failed else ()
+                )
+            except RuntimeError:
+                # Fleet-wide device loss: nothing live to place on.
+                gen.env.metrics.counter("traffic.fleet.no_live_portal").add()
+                if failed is not None:
+                    scheduler.record_failover(failed, None)
+                self._drop()
+                return
+            if failed is not None:
+                scheduler.record_failover(failed, portal.device.name)
+                gen.env.metrics.counter("traffic.fleet.reroutes").add()
+                self.failed_device = None
+            self.device = portal.device
+            self.wq_id = portal.wq_id
+        else:
+            self.device = state.device
+            self.wq_id = state.spec.wq_id
+        # Each attempt pays the full non-posted ENQCMD round trip.
+        gen.env.timeout(self.device.timing.enqcmd_ns).callbacks.append(self._enqcmd)
+
+    def _enqcmd(self, _event: Event) -> None:
+        device = self.device
+        spec = self.state.spec
+        descriptor = self.descriptor
+        if device.submit(descriptor, self.wq_id, source=spec.name):
+            if self.attempts:
+                device.wq(self.wq_id).record_retries(self.attempts, source=spec.name)
+            done = descriptor.completion_event
+            if done.callbacks is None:
+                self._done(done)
+            else:
+                done.callbacks.append(self._done)
+            return
+        self.attempts += 1
+        if self.attempts > spec.max_retries:
+            # Retry budget exhausted: shed the request.  The retries
+            # still hit the WQ's attribution counters — congestion must
+            # not vanish from the metrics when it sheds load.
+            device.wq(self.wq_id).record_retries(self.attempts, source=spec.name)
+            self._drop()
+            return
+        backoff = min(
+            spec.backoff_base_ns * (2.0 ** (self.attempts - 1)), spec.backoff_cap_ns
+        )
+        env = self.gen.env
+        env.timeout_at((env.now + backoff) + device.timing.enqcmd_ns).callbacks.append(
+            self._enqcmd
+        )
+
+    def _done(self, _event: Event) -> None:
+        gen = self.gen
+        state = self.state
+        descriptor = self.descriptor
+        status = descriptor.completion.status
+        if status.is_success:
+            now = gen.env.now
+            gen.accountant.completed(
+                state.spec.name, now, now - self.arrived, self.size, retries=self.attempts
+            )
+            state.pool.release(descriptor)
+            return
+        # The device failed the request (DEVICE_DISABLED from a driver
+        # disable or reset window).  Under fleet placement a disabled
+        # device triggers failover: re-place on a survivor within the
+        # tenant's retry budget.  Without a scheduler there is nowhere
+        # else to go — the request is dropped, not silently counted as
+        # completed.
+        self.attempts += 1
+        if (
+            gen.scheduler is None
+            or state.device is not None
+            or status is not StatusCode.DEVICE_DISABLED
+            or self.attempts > state.spec.max_retries
+        ):
+            self._drop()
+            return
+        self.failed_device = self.device.name
+        # Scrub the consumed completion so resubmission gets a fresh
+        # completion event on the surviving device.
+        descriptor.completion_event = None
+        descriptor.completion.status = StatusCode.NONE
+        descriptor.completion.bytes_completed = 0
+        self.place()
+
+    def _drop(self) -> None:
+        state = self.state
+        self.gen.accountant.dropped(
+            state.spec.name, self.gen.env.now, retries=self.attempts
+        )
+        state.pool.release(self.descriptor)
 
 
 class LoadGenerator:
@@ -170,6 +334,7 @@ class LoadGenerator:
         if requests < 1:
             raise ValueError(f"requests must be >= 1, got {requests}")
         self.platform = platform
+        self.env = platform.env
         self.profile = profile
         self.requests = requests
         self.arrival_override = arrival_override
@@ -287,15 +452,11 @@ class LoadGenerator:
         return self._drivers
 
     def _handler(self, state: _TenantState):
-        env = self.platform.env
-        if state.spec.targets_cpu:
-            def on_arrival(index: int, now: float) -> None:
-                self._cpu_arrival(state, now)
-        else:
-            def on_arrival(index: int, now: float) -> None:
-                env.process(
-                    self._dsa_request(state, now), name=f"req.{state.spec.name}"
-                )
+        arrival = self._cpu_arrival if state.spec.targets_cpu else self._dsa_arrival
+
+        def on_arrival(index: int, now: float) -> None:
+            arrival(state, now)
+
         return on_arrival
 
     # -- CPU completion path ----------------------------------------------
@@ -308,20 +469,17 @@ class LoadGenerator:
         if done is None:
             acct.dropped(spec.name, now)
             return
-        self.platform.env.process(
-            self._cpu_wait(spec, now, size, done), name=f"req.{spec.name}"
-        )
 
-    def _cpu_wait(self, spec: TenantSpec, arrived: float, size: int, done: Event):
-        finished = yield done
-        self.accountant.completed(spec.name, finished, finished - arrived, size)
+        def on_done(event: Event) -> None:
+            finished = event.value
+            acct.completed(spec.name, finished, finished - now, size)
+
+        done.callbacks.append(on_done)
 
     # -- DSA completion path ----------------------------------------------
-    def _dsa_request(self, state: _TenantState, arrived: float):
-        env = self.platform.env
+    def _dsa_arrival(self, state: _TenantState, arrived: float) -> None:
         spec = state.spec
-        acct = self.accountant
-        acct.offered(spec.name, arrived)
+        self.accountant.offered(spec.name, arrived)
         size = state.sizes.next()
         descriptor = state.pool.acquire()
         if descriptor is None:
@@ -331,88 +489,7 @@ class LoadGenerator:
         descriptor.src = state.src.va
         descriptor.dst = state.dst.va
         descriptor.size = size
-        attempts = 0
-        failed_device: Optional[str] = None
-        while True:
-            if self.scheduler is not None and state.device is None:
-                try:
-                    portal = self.scheduler.select(
-                        socket=state.socket,
-                        exclude=(failed_device,) if failed_device else (),
-                    )
-                except RuntimeError:
-                    # Fleet-wide device loss: nothing live to place on.
-                    env.metrics.counter("traffic.fleet.no_live_portal").add()
-                    if failed_device is not None:
-                        self.scheduler.record_failover(failed_device, None)
-                    acct.dropped(spec.name, env.now, retries=attempts)
-                    state.pool.release(descriptor)
-                    return
-                if failed_device is not None:
-                    self.scheduler.record_failover(
-                        failed_device, portal.device.name
-                    )
-                    env.metrics.counter("traffic.fleet.reroutes").add()
-                    failed_device = None
-                device = portal.device
-                wq_id = portal.wq_id
-            else:
-                device = state.device
-                wq_id = spec.wq_id
-            wq = device.wq(wq_id)
-            enqcmd_ns = device.timing.enqcmd_ns
-            while True:
-                # Each attempt pays the full non-posted ENQCMD round trip.
-                yield env.timeout(enqcmd_ns)
-                if device.submit(descriptor, wq_id, source=spec.name):
-                    break
-                attempts += 1
-                if attempts > spec.max_retries:
-                    # Retry budget exhausted: shed the request.  The retries
-                    # still hit the WQ's attribution counters — congestion
-                    # must not vanish from the metrics when it sheds load.
-                    wq.record_retries(attempts, source=spec.name)
-                    acct.dropped(spec.name, env.now, retries=attempts)
-                    state.pool.release(descriptor)
-                    return
-                yield env.timeout(
-                    min(
-                        spec.backoff_base_ns * (2.0 ** (attempts - 1)),
-                        spec.backoff_cap_ns,
-                    )
-                )
-            if attempts:
-                wq.record_retries(attempts, source=spec.name)
-            yield descriptor.completion_event
-            status = descriptor.completion.status
-            if status.is_success:
-                acct.completed(
-                    spec.name, env.now, env.now - arrived, size, retries=attempts
-                )
-                state.pool.release(descriptor)
-                return
-            # The device failed the request (DEVICE_DISABLED from a
-            # driver disable or reset window).  Under fleet placement a
-            # disabled device triggers failover: re-place on a survivor
-            # within the tenant's retry budget.  Without a scheduler
-            # there is nowhere else to go — the request is dropped, not
-            # silently counted as completed.
-            attempts += 1
-            if (
-                self.scheduler is None
-                or state.device is not None
-                or status is not StatusCode.DEVICE_DISABLED
-                or attempts > spec.max_retries
-            ):
-                acct.dropped(spec.name, env.now, retries=attempts)
-                state.pool.release(descriptor)
-                return
-            failed_device = device.name
-            # Scrub the consumed completion so resubmission gets a fresh
-            # completion event on the surviving device.
-            descriptor.completion_event = None
-            descriptor.completion.status = StatusCode.NONE
-            descriptor.completion.bytes_completed = 0
+        _DsaRequest(self, state, arrived, size, descriptor).place()
 
     # -- results ----------------------------------------------------------
     def finalize(self) -> Dict[str, int]:
