@@ -184,6 +184,7 @@ class _DsaRequest:
         "size",
         "descriptor",
         "attempts",
+        "rejected",
         "failed_device",
         "device",
         "wq_id",
@@ -204,6 +205,8 @@ class _DsaRequest:
         self.descriptor = descriptor
         #: Failed ENQCMDs plus failovers: the request's retry budget.
         self.attempts = 0
+        #: Failed ENQCMDs on the current placement's WQ, booked to it.
+        self.rejected = 0
         self.failed_device: Optional[str] = None
         self.device = None
         self.wq_id = 0
@@ -235,6 +238,7 @@ class _DsaRequest:
         else:
             self.device = state.device
             self.wq_id = state.spec.wq_id
+        self.rejected = 0
         # Each attempt pays the full non-posted ENQCMD round trip.
         gen.env.timeout(self.device.timing.enqcmd_ns).callbacks.append(self._enqcmd)
 
@@ -243,8 +247,8 @@ class _DsaRequest:
         spec = self.state.spec
         descriptor = self.descriptor
         if device.submit(descriptor, self.wq_id, source=spec.name):
-            if self.attempts:
-                device.wq(self.wq_id).record_retries(self.attempts, source=spec.name)
+            if self.rejected:
+                device.wq(self.wq_id).record_retries(self.rejected, source=spec.name)
             done = descriptor.completion_event
             if done.callbacks is None:
                 self._done(done)
@@ -252,11 +256,12 @@ class _DsaRequest:
                 done.callbacks.append(self._done)
             return
         self.attempts += 1
+        self.rejected += 1
         if self.attempts > spec.max_retries:
             # Retry budget exhausted: shed the request.  The retries
             # still hit the WQ's attribution counters — congestion must
             # not vanish from the metrics when it sheds load.
-            device.wq(self.wq_id).record_retries(self.attempts, source=spec.name)
+            device.wq(self.wq_id).record_retries(self.rejected, source=spec.name)
             self._drop()
             return
         backoff = min(

@@ -102,6 +102,42 @@ class TestFleetFailover:
         # Post-disable placements never touch the dead device again.
         assert snapshot["fleet.devices_live.level"] == 3.0
 
+    @pytest.mark.parametrize("wq_size", [128, 16])
+    def test_failover_is_not_booked_as_an_enqcmd_retry(self, wq_size):
+        # Each WQ is booked exactly the ENQCMD rejections it issued: a
+        # failover is no ENQCMD retry, and the rejections a request met
+        # on a device it left are not booked again on its next device.
+        # The 16-entry WQs add rejections on the surviving devices.
+        fleet = FleetSpec(2, 2, "numa-local")
+        platform = fleet_platform(
+            sockets=2, devices_per_socket=2, device_config=shared_config(wq_size)
+        )
+        profile = profile_for(4, rho=8.0)
+        requests = 400
+        horizon = requests / sum(t.rate for t in profile.tenants)
+        generator, totals = run_with_disable(
+            platform, profile, requests, fleet, disable_at=horizon / 4
+        )
+        snapshot = generator.platform.metrics_snapshot()
+        assert snapshot.get("traffic.fleet.reroutes", 0.0) > 0
+        # Every WQ books ``.rejected`` from its creation; the per-source
+        # families appear with the first rejection.
+        booked = {
+            name.rsplit(".", 1)[0]
+            for name in snapshot
+            if ".wq" in name and name.endswith((".rejected", ".enqcmd_retries"))
+        }
+        queues = {prefix for prefix in booked if ".source." not in prefix}
+        assert queues
+        for prefix in sorted(booked):
+            assert snapshot.get(f"{prefix}.enqcmd_retries", 0.0) == snapshot.get(
+                f"{prefix}.rejected", 0.0
+            ), prefix
+        # The accountant's per-request retries still count the failovers.
+        assert totals["retries"] > sum(
+            snapshot.get(f"{queue}.enqcmd_retries", 0.0) for queue in queues
+        )
+
     def test_failed_requests_are_dropped_not_completed(self):
         # The regression this guards: without a fleet scheduler a
         # DEVICE_DISABLED completion used to be booked as *completed*.
