@@ -185,7 +185,6 @@ class _DsaRequest:
         "descriptor",
         "attempts",
         "rejected",
-        "failed_device",
         "device",
         "wq_id",
     )
@@ -207,17 +206,19 @@ class _DsaRequest:
         self.attempts = 0
         #: Failed ENQCMDs on the current placement's WQ, booked to it.
         self.rejected = 0
-        self.failed_device: Optional[str] = None
         self.device = None
         self.wq_id = 0
 
-    def place(self) -> None:
-        """Choose the device (fleet placement or the tenant's own WQ)."""
+    def place(self, failed: Optional[str] = None) -> None:
+        """Choose the device (fleet placement or the tenant's own WQ).
+
+        ``failed`` names the device a failover is leaving: placement
+        excludes it and books the re-route.
+        """
         gen = self.gen
         state = self.state
         scheduler = gen.scheduler
         if scheduler is not None and state.device is None:
-            failed = self.failed_device
             try:
                 portal = scheduler.select(
                     socket=state.socket, exclude=(failed,) if failed else ()
@@ -232,7 +233,6 @@ class _DsaRequest:
             if failed is not None:
                 scheduler.record_failover(failed, portal.device.name)
                 gen.env.metrics.counter("traffic.fleet.reroutes").add()
-                self.failed_device = None
             self.device = portal.device
             self.wq_id = portal.wq_id
         else:
@@ -299,13 +299,12 @@ class _DsaRequest:
         ):
             self._drop()
             return
-        self.failed_device = self.device.name
         # Scrub the consumed completion so resubmission gets a fresh
         # completion event on the surviving device.
         descriptor.completion_event = None
         descriptor.completion.status = StatusCode.NONE
         descriptor.completion.bytes_completed = 0
-        self.place()
+        self.place(failed=self.device.name)
 
     def _drop(self) -> None:
         state = self.state
