@@ -249,11 +249,7 @@ class _DsaRequest:
         if device.submit(descriptor, self.wq_id, source=spec.name):
             if self.rejected:
                 device.wq(self.wq_id).record_retries(self.rejected, source=spec.name)
-            done = descriptor.completion_event
-            if done.callbacks is None:
-                self._done(done)
-            else:
-                done.callbacks.append(self._done)
+            descriptor.completion_event.callbacks.append(self._done)
             return
         self.attempts += 1
         self.rejected += 1

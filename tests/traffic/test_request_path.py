@@ -250,7 +250,7 @@ def scenarios(draw):
     )
     return dict(
         profile=profile,
-        requests=draw(st.integers(n, 60)),
+        requests=draw(st.integers(n, 150)),
         swq_size=draw(st.integers(2, 16)),
         fleet=draw(st.sampled_from([None, "round-robin", "numa-local"])),
         disable_at=draw(st.one_of(st.none(), st.floats(0.05, 0.9))),
