@@ -178,7 +178,7 @@ class _DsaRequest:
     """
 
     __slots__ = (
-        "gen",
+        "loadgen",
         "state",
         "arrived",
         "size",
@@ -191,13 +191,13 @@ class _DsaRequest:
 
     def __init__(
         self,
-        gen: "LoadGenerator",
+        loadgen: "LoadGenerator",
         state: _TenantState,
         arrived: float,
         size: int,
         descriptor: WorkDescriptor,
     ):
-        self.gen = gen
+        self.loadgen = loadgen
         self.state = state
         self.arrived = arrived
         self.size = size
@@ -215,9 +215,9 @@ class _DsaRequest:
         ``failed`` names the device a failover is leaving: placement
         excludes it and books the re-route.
         """
-        gen = self.gen
+        loadgen = self.loadgen
         state = self.state
-        scheduler = gen.scheduler
+        scheduler = loadgen.scheduler
         if scheduler is not None and state.device is None:
             try:
                 portal = scheduler.select(
@@ -225,14 +225,14 @@ class _DsaRequest:
                 )
             except RuntimeError:
                 # Fleet-wide device loss: nothing live to place on.
-                gen.env.metrics.counter("traffic.fleet.no_live_portal").add()
+                loadgen.env.metrics.counter("traffic.fleet.no_live_portal").add()
                 if failed is not None:
                     scheduler.record_failover(failed, None)
                 self._drop()
                 return
             if failed is not None:
                 scheduler.record_failover(failed, portal.device.name)
-                gen.env.metrics.counter("traffic.fleet.reroutes").add()
+                loadgen.env.metrics.counter("traffic.fleet.reroutes").add()
             self.device = portal.device
             self.wq_id = portal.wq_id
         else:
@@ -240,7 +240,7 @@ class _DsaRequest:
             self.wq_id = state.spec.wq_id
         self.rejected = 0
         # Each attempt pays the full non-posted ENQCMD round trip.
-        gen.env.timeout(self.device.timing.enqcmd_ns).callbacks.append(self._enqcmd)
+        loadgen.env.timeout(self.device.timing.enqcmd_ns).callbacks.append(self._enqcmd)
 
     def _enqcmd(self, _event: Event) -> None:
         device = self.device
@@ -263,19 +263,19 @@ class _DsaRequest:
         backoff = min(
             spec.backoff_base_ns * (2.0 ** (self.attempts - 1)), spec.backoff_cap_ns
         )
-        env = self.gen.env
+        env = self.loadgen.env
         env.timeout_at((env.now + backoff) + device.timing.enqcmd_ns).callbacks.append(
             self._enqcmd
         )
 
     def _done(self, _event: Event) -> None:
-        gen = self.gen
+        loadgen = self.loadgen
         state = self.state
         descriptor = self.descriptor
         status = descriptor.completion.status
         if status.is_success:
-            now = gen.env.now
-            gen.accountant.completed(
+            now = loadgen.env.now
+            loadgen.accountant.completed(
                 state.spec.name, now, now - self.arrived, self.size, retries=self.attempts
             )
             state.pool.release(descriptor)
@@ -288,7 +288,7 @@ class _DsaRequest:
         # completed.
         self.attempts += 1
         if (
-            gen.scheduler is None
+            loadgen.scheduler is None
             or state.device is not None
             or status is not StatusCode.DEVICE_DISABLED
             or self.attempts > state.spec.max_retries
@@ -304,8 +304,8 @@ class _DsaRequest:
 
     def _drop(self) -> None:
         state = self.state
-        self.gen.accountant.dropped(
-            state.spec.name, self.gen.env.now, retries=self.attempts
+        self.loadgen.accountant.dropped(
+            state.spec.name, self.loadgen.env.now, retries=self.attempts
         )
         state.pool.release(self.descriptor)
 
