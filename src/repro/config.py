@@ -1,9 +1,9 @@
 """One frozen description of a run's mode: :class:`RunConfig`.
 
 Every figure this repository regenerates is a function of three things:
-the code, the run mode and the seed.  The run mode is the seven values
-below — seed, fidelity tier, histogram backend, traffic scale tier and
-arrival override, fleet topology and placement policy — and this module
+the code, the run mode and the seed.  The run mode is the six values
+below — seed, histogram backend, traffic scale tier and arrival
+override, fleet topology and placement policy — and this module
 is the only place they live.
 
 One instance is *active* at a time (:func:`active_config`).  The CLI
@@ -31,7 +31,6 @@ from typing import Any, Dict, Iterator, Tuple
 #: Project-wide default seed.
 DEFAULT_SEED = 0xD5A  # "DSA"
 
-FIDELITY_MODES: Tuple[str, ...] = ("des", "auto", "analytical")
 HIST_BACKENDS: Tuple[str, ...] = ("auto", "exact", "streaming")
 TIER_NAMES: Tuple[str, ...] = ("small", "medium", "large")
 #: ``default`` keeps each tenant's declared arrival process; the rest
@@ -41,7 +40,6 @@ PLACEMENTS: Tuple[str, ...] = ("round-robin", "numa-local", "least-loaded")
 
 #: Field -> (noun for error messages, allowed values).
 _CHOICES = {
-    "fidelity": ("fidelity mode", FIDELITY_MODES),
     "hist_backend": ("histogram backend", HIST_BACKENDS),
     "tier": ("scale tier", TIER_NAMES),
     "traffic": ("traffic mode", TRAFFIC_MODES),
@@ -51,7 +49,6 @@ _CHOICES = {
 #: Field -> cache-salt key.  The keys predate this class and are part
 #: of every stored cache key, so they never change.
 _SALT_KEYS = {
-    "fidelity": "fidelity",
     "hist_backend": "hist",
     "tier": "tier",
     "traffic": "traffic",
@@ -83,7 +80,6 @@ class RunConfig:
     """The complete run mode; every field is validated on construction."""
 
     seed: int = DEFAULT_SEED
-    fidelity: str = "des"
     hist_backend: str = "auto"
     tier: str = "small"
     traffic: str = "default"
@@ -145,7 +141,7 @@ def update(**changes: Any) -> RunConfig:
     """Replace fields of the active config (validated); returns it.
 
     The per-subsystem installers (``install_seed``,
-    ``install_fidelity``, …) are one call to this each.
+    ``set_default_tier``, …) are one call to this each.
     """
     global _active
     _active = replace(_active, **changes)

@@ -28,13 +28,16 @@ re-derived by every submitter.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Union
+from typing import Callable, Deque, Dict, Optional, Tuple, Union, TYPE_CHECKING
 
 from repro.dsa.config import WqConfig, WqMode
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.errors import SubmissionError
 from repro.faults.inject import active_injector
 from repro.sim.engine import Environment
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import Counter
 
 Descriptor = Union[WorkDescriptor, BatchDescriptor]
 
@@ -53,6 +56,7 @@ class WorkQueue:
         "_m_occupancy",
         "_m_enqueued",
         "_m_rejected",
+        "_m_lazy",
     )
 
     def __init__(self, env: Environment, config: WqConfig, owner: str = "dsa"):
@@ -71,6 +75,9 @@ class WorkQueue:
         self._m_occupancy = metrics.gauge(f"{self.name}.occupancy")
         self._m_enqueued = metrics.counter(f"{self.name}.enqueued")
         self._m_rejected = metrics.counter(f"{self.name}.rejected")
+        #: Counters registered on first use (see :meth:`_counter`), so a
+        #: queue that never rejects or retries publishes none of them.
+        self._m_lazy: Dict[Tuple[Optional[str], str], Counter] = {}
 
     @property
     def wq_id(self) -> int:
@@ -113,17 +120,15 @@ class WorkQueue:
                 # Injected congestion: bounce the ENQCMD as if full.
                 self.rejected += 1
                 self._m_rejected.add()
-                self.env.metrics.counter(f"{self.name}.injected_rejects").add()
+                self._counter(None, "injected_rejects").add()
                 if source is not None:
-                    self.env.metrics.counter(
-                        f"{self.name}.source.{source}.rejected"
-                    ).add()
+                    self._counter(source, "rejected").add()
                 return False
         if self.is_full:
             self.rejected += 1
             self._m_rejected.add()
             if source is not None:
-                self.env.metrics.counter(f"{self.name}.source.{source}.rejected").add()
+                self._counter(source, "rejected").add()
             if self.config.mode is WqMode.DEDICATED:
                 raise SubmissionError(
                     f"MOVDIR64B to full DWQ {self.wq_id} "
@@ -160,10 +165,24 @@ class WorkQueue:
         """
         if retries <= 0:
             return
-        metrics = self.env.metrics
-        metrics.counter(f"{self.name}.enqcmd_retries").add(retries)
+        self._counter(None, "enqcmd_retries").add(retries)
         if source is not None:
-            metrics.counter(f"{self.name}.source.{source}.enqcmd_retries").add(retries)
+            self._counter(source, "enqcmd_retries").add(retries)
+
+    def _counter(self, source: Optional[str], leaf: str) -> Counter:
+        """``<name>.<leaf>``, or ``<name>.source.<source>.<leaf>``.
+
+        Looked up once per name and kept, so a reject or retry costs a
+        dict hit rather than a name build and a registry lookup.
+        """
+        counter = self._m_lazy.get((source, leaf))
+        if counter is None:
+            if source is None:
+                name = f"{self.name}.{leaf}"
+            else:
+                name = f"{self.name}.source.{source}.{leaf}"
+            counter = self._m_lazy[source, leaf] = self.env.metrics.counter(name)
+        return counter
 
     def pop(self) -> Descriptor:
         """Remove and return the head descriptor (arbiter only)."""

@@ -50,14 +50,6 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.fidelity import (
-    DECLARED_TOLERANCE,
-    FidelityMode,
-    FidelityPolicy,
-    active_fidelity,
-    fidelity,
-    install_fidelity,
-)
 from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.stats import Histogram, OnlineStat, TimeWeightedStat
 from repro.sim.rng import (
@@ -91,10 +83,4 @@ __all__ = [
     "OnlineStat",
     "TimeWeightedStat",
     "make_rng",
-    "DECLARED_TOLERANCE",
-    "FidelityMode",
-    "FidelityPolicy",
-    "active_fidelity",
-    "fidelity",
-    "install_fidelity",
 ]

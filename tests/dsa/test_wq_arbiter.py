@@ -9,6 +9,7 @@ from repro.dsa.descriptor import WorkDescriptor
 from repro.dsa.errors import SubmissionError
 from repro.dsa.opcodes import Opcode
 from repro.dsa.wq import WorkQueue
+from repro.faults import FaultPlan, injection
 from repro.mem.iommu import Iommu
 from repro.mem.pagetable import PAGE_4K, PageTable
 from repro.sim import Environment
@@ -60,6 +61,34 @@ class TestWorkQueue:
         wq = WorkQueue(env, WqConfig(0, size=4))
         with pytest.raises(RuntimeError):
             wq.pop()
+
+    def test_retry_and_source_counters_register_on_first_use(self):
+        env = Environment()
+        wq = WorkQueue(env, WqConfig(0, size=1, mode=WqMode.SHARED))
+        assert wq.submit(make_desc(), source="a")
+        wq.record_retries(0, source="a")
+        assert sorted(name for name, _ in env.metrics) == [
+            "dsa.wq0.enqueued", "dsa.wq0.occupancy", "dsa.wq0.rejected",
+        ]
+        for source in ("a", "b", "a"):
+            assert not wq.submit(make_desc(), source=source)
+        with injection(FaultPlan(seed=1, swq_reject_rate=1.0)):
+            wq.pop()
+            assert not wq.submit(make_desc(), source="b")
+        wq.record_retries(2, source="a")
+        wq.record_retries(1, source="b")
+        wq.record_retries(3)
+        snapshot = env.metrics.snapshot()
+        assert {k: v for k, v in snapshot.items() if ".occupancy." not in k} == {
+            "dsa.wq0.enqcmd_retries": 6.0,
+            "dsa.wq0.enqueued": 1.0,
+            "dsa.wq0.injected_rejects": 1.0,
+            "dsa.wq0.rejected": 4.0,
+            "dsa.wq0.source.a.enqcmd_retries": 2.0,
+            "dsa.wq0.source.a.rejected": 2.0,
+            "dsa.wq0.source.b.enqcmd_retries": 1.0,
+            "dsa.wq0.source.b.rejected": 2.0,
+        }
 
     def test_enqueue_hook_fires(self):
         env = Environment()

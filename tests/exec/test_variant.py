@@ -2,7 +2,7 @@
 
 The result cache keys on ``(exp_id, quick, seed, variant)``; the variant
 string is the only thing separating results produced under different
-run modes (histogram backend, fidelity tier, ...).  It is
+run modes (histogram backend, scale tier, ...).  It is
 :meth:`RunConfig.variant`.  These tests pin its strings — deterministic
 ordering, default elision — and prove that no two distinct run modes
 ever share a cache entry.
@@ -27,13 +27,13 @@ class TestVariantString:
     def test_defaults_are_elided(self):
         # The default configuration must map to the pre-variant key ""
         # so existing caches stay valid.
-        assert RunConfig(fidelity="des", hist_backend="auto").variant() == ""
+        assert RunConfig(hist_backend="auto", tier="small").variant() == ""
 
     def test_keys_are_sorted(self):
         assert (
-            RunConfig(hist_backend="exact", fidelity="auto").variant()
-            == RunConfig(fidelity="auto", hist_backend="exact").variant()
-            == "fidelity=auto,hist=exact"
+            RunConfig(hist_backend="exact", fleet="2x2").variant()
+            == RunConfig(fleet="2x2", hist_backend="exact").variant()
+            == "fleet=2x2,hist=exact"
         )
 
     def test_separator_characters_rejected(self):
@@ -45,24 +45,23 @@ class TestVariantString:
             RunConfig(fleet="2x2,tier=large")
 
     def test_distinct_flag_combos_never_collide(self):
-        fidelities = ["des", "auto", "analytical"]
+        fleets = ["1x1", "2x2", "2x4"]
         hists = ["auto", "exact", "streaming"]
         tiers = ["small", "large"]
-        combos = list(itertools.product(fidelities, hists, tiers))
+        combos = list(itertools.product(fleets, hists, tiers))
         strings = [
-            RunConfig(fidelity=f, hist_backend=h, tier=t).variant()
+            RunConfig(fleet=f, hist_backend=h, tier=t).variant()
             for f, h, t in combos
         ]
         assert len(set(strings)) == len(combos)
 
     def test_every_field_salts_except_seed(self):
         config = RunConfig(
-            seed=7, fidelity="auto", hist_backend="exact",
+            seed=7, hist_backend="exact",
             tier="medium", traffic="bursty", fleet="2x2", placement="numa-local",
         )
         assert config.variant() == (
-            "fidelity=auto,fleet=2x2,hist=exact,"
-            "placement=numa-local,tier=medium,traffic=bursty"
+            "fleet=2x2,hist=exact,placement=numa-local,tier=medium,traffic=bursty"
         )
         assert RunConfig(seed=7).variant() == ""
 
@@ -75,18 +74,19 @@ class TestRunnerVariant:
     def test_default_runner_uses_legacy_empty_variant(self):
         assert ParallelRunner(jobs=1).config.variant() == ""
 
-    def test_fidelity_flag_salts_the_variant(self):
-        runner = ParallelRunner(jobs=1, config=RunConfig(fidelity="auto"))
-        assert runner.config.variant() == "fidelity=auto"
+    def test_tier_flag_salts_the_variant(self):
+        runner = ParallelRunner(jobs=1, config=RunConfig(tier="large"))
+        assert runner.config.variant() == "tier=large"
 
-    def test_explicit_des_matches_default(self):
-        assert ParallelRunner(jobs=1, config=RunConfig(fidelity="des")).config.variant() == ""
+    def test_explicit_defaults_match_default(self):
+        config = RunConfig(tier="small", placement="round-robin")
+        assert ParallelRunner(jobs=1, config=config).config.variant() == ""
 
     def test_combined_flags(self):
         runner = ParallelRunner(
-            jobs=1, config=RunConfig(hist_backend="streaming", fidelity="auto")
+            jobs=1, config=RunConfig(tier="large", hist_backend="streaming")
         )
-        assert runner.config.variant() == "fidelity=auto,hist=streaming"
+        assert runner.config.variant() == "hist=streaming,tier=large"
 
 
 class TestCacheKeying:
@@ -96,12 +96,12 @@ class TestCacheKeying:
 
     def test_variant_separates_entries(self, cache):
         base = cache.key("fig2", quick=False, seed=1)
-        salted = cache.key("fig2", quick=False, seed=1, variant="fidelity=auto")
+        salted = cache.key("fig2", quick=False, seed=1, variant="tier=large")
         assert base != salted
 
     def test_same_variant_same_key(self, cache):
-        a = cache.key("fig2", quick=True, seed=7, variant="fidelity=auto")
-        b = cache.key("fig2", quick=True, seed=7, variant="fidelity=auto")
+        a = cache.key("fig2", quick=True, seed=7, variant="tier=large")
+        b = cache.key("fig2", quick=True, seed=7, variant="tier=large")
         assert a == b
 
     def test_default_config_keeps_the_legacy_key(self, cache):

@@ -3,8 +3,8 @@
 The calendar is one binary heap of ``(when, priority, seq, event)``
 entries.  These tests pin what the run loop does around it: recycling
 retired timeouts, lazily discarding cancelled entries (and compacting
-them in bulk), ``advance_to`` over empty time, ``peek``/``step``, and
-``timeout_at``'s exact firing time and FIFO tie-break.
+them in bulk), ``peek``/``step``, and ``timeout_at``'s exact firing
+time and FIFO tie-break.
 """
 
 import pytest
@@ -12,9 +12,10 @@ import pytest
 from repro.config import RunConfig, active_config
 from repro.sim import Environment, SimulationError, set_default_calendar
 from repro.sim.engine import CALENDAR_COMPACT_THRESHOLD
+from repro.sim.fidelity import install_fidelity
 
 
-# -- the benchmark harness's calendar call ---------------------------------
+# -- the benchmark harness's calendar and fidelity calls -------------------
 
 
 def test_set_default_calendar_accepts_only_heap():
@@ -28,6 +29,15 @@ def test_set_default_calendar_accepts_only_heap():
 def test_set_default_calendar_rejects_unknown():
     with pytest.raises(ValueError, match="unknown calendar backend"):
         set_default_calendar("btree")
+    assert active_config() == RunConfig()
+
+
+def test_install_fidelity_accepts_only_des():
+    install_fidelity("des")
+    assert active_config() == RunConfig()
+    for gone in ("auto", "analytical", "bogus"):
+        with pytest.raises(ValueError, match="unknown fidelity mode"):
+            install_fidelity(gone)
     assert active_config() == RunConfig()
 
 
@@ -141,37 +151,7 @@ def test_pooled_condition_timeouts_not_recycled_while_held():
     assert results == [["x", "y"]]
 
 
-# -- advance_to x cancel x compaction ---------------------------------------
-
-
-def test_advance_to_empty_time():
-    env = Environment()
-    assert env.advance_to(1000.0) == 1000.0
-    assert env.now == 1000.0
-    with pytest.raises(ValueError):
-        env.advance_to(500.0)  # into the past
-
-
-def test_advance_to_blocked_by_live_entry():
-    env = Environment()
-    env.timeout(10.0)
-    with pytest.raises(SimulationError, match="live event scheduled at 10.0"):
-        env.advance_to(50.0)
-    assert env.now == 0.0
-
-
-def test_advance_to_skips_cancelled_entries():
-    env = Environment()
-    doomed = [env.timeout(float(i + 1)) for i in range(5)]
-    keeper = env.timeout(100.0)
-    for ev in doomed:
-        ev.cancel()
-    # peek() discards the cancelled heads; only the live 100.0 blocks.
-    assert env.advance_to(50.0) == 50.0
-    assert env.stale_timers == 5
-    with pytest.raises(SimulationError):
-        env.advance_to(200.0)
-    assert not keeper.cancelled
+# -- cancel x compaction ---------------------------------------------------
 
 
 def test_cancel_compaction_threshold():
@@ -207,7 +187,9 @@ def test_cancel_then_advance_then_run():
     doomed.cancel()
     env.run(until=10.0)
     assert order == ["early"]
-    assert env.advance_to(499.0) == 499.0
+    assert env.now == 10.0
+    assert env.peek() == 500.0  # the cancelled 7.0 entry never fires
+    assert env.stale_timers == 1
     env.run()
     assert order == ["early", "late"]
     assert env.now == 500.0

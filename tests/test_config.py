@@ -7,7 +7,6 @@ import pytest
 from repro.__main__ import _parser, main
 from repro.config import (
     DEFAULT_SEED,
-    FIDELITY_MODES,
     PLACEMENTS,
     TIER_NAMES,
     RunConfig,
@@ -16,8 +15,7 @@ from repro.config import (
     using,
 )
 from repro.fleet import POLICIES, active_fleet, set_default_fleet, set_default_placement
-from repro.sim.fidelity import FidelityMode, active_fidelity, install_fidelity
-from repro.traffic import TIERS, active_tier
+from repro.traffic import TIERS, active_tier, set_default_tier
 
 
 @pytest.fixture(autouse=True)
@@ -31,7 +29,7 @@ class TestRunConfig:
         config = RunConfig()
         assert config.seed == DEFAULT_SEED
         assert config.as_dict() == {
-            "seed": DEFAULT_SEED, "fidelity": "des", "hist_backend": "auto", "tier": "small", "traffic": "default",
+            "seed": DEFAULT_SEED, "hist_backend": "auto", "tier": "small", "traffic": "default",
             "fleet": "1x1", "placement": "round-robin",
         }
 
@@ -46,7 +44,6 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("fidelity", "exact"),
             ("hist_backend", "hdr"),
             ("tier", "huge"),
             ("traffic", "fractal"),
@@ -65,7 +62,6 @@ class TestRunConfig:
 
     def test_choice_tables_match_their_subsystems(self):
         assert tuple(TIERS) == TIER_NAMES
-        assert tuple(mode.value for mode in FidelityMode) == FIDELITY_MODES
         assert tuple(POLICIES) == PLACEMENTS
 
 
@@ -85,22 +81,20 @@ class TestActiveConfig:
         assert active_config() is before
 
     def test_readers_derive_from_the_fields(self):
-        with using(RunConfig(fidelity="auto", fleet="2x2", placement="numa-local")):
-            assert active_fidelity().mode is FidelityMode.AUTO
+        with using(RunConfig(tier="large", fleet="2x2", placement="numa-local")):
+            assert active_tier() is TIERS["large"]
             fleet = active_fleet()
             assert (fleet.sockets, fleet.devices_per_socket, fleet.placement) == (
                 2, 2, "numa-local",
             )
-        assert active_fidelity() is None
+        assert active_tier() is TIERS["small"]
 
     def test_installers_replace_one_field_each(self):
         set_default_placement("numa-local")
         set_default_fleet("2x4")
-        install_fidelity("analytical")
+        set_default_tier("large")
         set_default_fleet(None)
-        assert active_config() == RunConfig(
-            fidelity="analytical", placement="numa-local"
-        )
+        assert active_config() == RunConfig(tier="large", placement="numa-local")
 
 
 class TestCli:
